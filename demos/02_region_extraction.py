@@ -9,7 +9,7 @@ member), using 8-connectivity: pixels touching diagonally belong together.
 
 import numpy as np
 
-from retsym import LesionClass, LesionMask, count_regions, extract_regions
+from retsym import LesionClass, LesionMask, extract_regions
 
 
 def show(title, art):
@@ -56,7 +56,7 @@ show("a U-shape (legs merge late)", [
 rng = np.random.default_rng(0)
 pixels = rng.random((48, 48)) < 0.35
 regions = extract_regions(LesionMask(pixels, LesionClass.EX))
-print(f"random 48x48 mask at density 0.35: {count_regions(regions)} regions, "
+print(f"random 48x48 mask at density 0.35: {len(regions)} regions, "
       f"{sum(regions.sizes())} region pixels == {int(pixels.sum())} foreground pixels")
 assert sum(regions.sizes()) == int(pixels.sum())
 

@@ -14,7 +14,6 @@ always produces the same model, byte for byte.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -101,17 +100,17 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class GraderModel:
-    """Trained network weights plus the preprocessing stats they expect."""
+    """Trained network weights plus the preprocessing stats they expect.
+
+    ``params`` holds every weight and bias in one float64 vector, in the
+    order :func:`_layout` derives from ``trunk_dims``; :func:`_views` cuts
+    it into per-layer arrays.
+    """
 
     feature_mode: FeatureMode
     thresholds: SizeThresholds
     trunk_dims: tuple[int, ...]
-    trunk_weights: list[np.ndarray]  # layer k: shape (trunk_dims[k], trunk_dims[k+1])
-    trunk_biases: list[np.ndarray]
-    dr_weights: np.ndarray  # (trunk_dims[-1], 5)
-    dr_bias: np.ndarray
-    dme_weights: np.ndarray  # (trunk_dims[-1], 3)
-    dme_bias: np.ndarray
+    params: np.ndarray  # flat, length _n_params(trunk_dims)
     shift: np.ndarray  # per-feature mean of log1p over the training split
     scale: np.ndarray  # matching std; strictly positive
     seed: Optional[int] = None
@@ -119,77 +118,81 @@ class GraderModel:
 
     def __post_init__(self) -> None:
         self.trunk_dims = tuple(int(d) for d in self.trunk_dims)
-        _validate_shapes(self)
-
-    @property
-    def input_dim(self) -> int:
-        return self.trunk_dims[0]
-
-
-def _validate_shapes(model: GraderModel) -> None:
-    dims = model.trunk_dims
-    if len(dims) < 2:
-        raise ModelFormatError("trunk_dims must list at least input and one layer width")
-    if dims[0] != model.feature_mode.length:
-        raise ModelFormatError(
-            f"trunk_dims[0] == {dims[0]} but {model.feature_mode.value} "
-            f"features have length {model.feature_mode.length}"
-        )
-    if len(model.trunk_weights) != len(dims) - 1 or len(model.trunk_biases) != len(dims) - 1:
-        raise ModelFormatError(
-            f"expected {len(dims) - 1} trunk layers, got {len(model.trunk_weights)} "
-            f"weight matrices and {len(model.trunk_biases)} bias vectors"
-        )
-    for k, (w, b) in enumerate(zip(model.trunk_weights, model.trunk_biases)):
-        want = (dims[k], dims[k + 1])
-        if w.shape != want:
-            raise ModelFormatError(f"trunk layer {k}: weights shape {w.shape}, expected {want}")
-        if b.shape != (dims[k + 1],):
+        dims = self.trunk_dims
+        _check_dims(dims, self.feature_mode)
+        n_params = _n_params(dims)
+        if self.params.shape != (n_params,):
             raise ModelFormatError(
-                f"trunk layer {k}: bias shape {b.shape}, expected ({dims[k + 1]},)"
+                f"params shape {self.params.shape}, expected ({n_params},) for trunk_dims {dims}"
             )
-    for name, w, b, n_out in (
-        ("dr_head", model.dr_weights, model.dr_bias, N_DR_CLASSES),
-        ("dme_head", model.dme_weights, model.dme_bias, N_DME_CLASSES),
-    ):
-        if w.shape != (dims[-1], n_out):
-            raise ModelFormatError(f"{name}: weights shape {w.shape}, expected {(dims[-1], n_out)}")
-        if b.shape != (n_out,):
-            raise ModelFormatError(f"{name}: bias shape {b.shape}, expected ({n_out},)")
-    for name, v in (("shift", model.shift), ("scale", model.scale)):
-        if v.shape != (dims[0],):
-            raise ModelFormatError(f"preprocess {name} length {v.shape}, expected ({dims[0]},)")
-    if not np.all(model.scale > 0):
-        raise ModelFormatError("preprocess scale entries must be strictly positive")
+        for name, v in (("shift", self.shift), ("scale", self.scale)):
+            if v.shape != (dims[0],):
+                raise ModelFormatError(f"preprocess {name} length {v.shape}, expected ({dims[0]},)")
+        for name, v in (("params", self.params), ("shift", self.shift), ("scale", self.scale)):
+            if not np.all(np.isfinite(v)):
+                raise ModelFormatError(f"{name} holds a non-finite value")
+        if not np.all(self.scale > 0):
+            raise ModelFormatError("preprocess scale entries must be strictly positive")
+
+
+def _check_dims(trunk_dims: tuple[int, ...], mode: FeatureMode) -> None:
+    if len(trunk_dims) < 2 or min(trunk_dims) < 1:
+        raise ModelFormatError(
+            "trunk_dims must list the input width and at least one layer width, all positive"
+        )
+    if trunk_dims[0] != mode.length:
+        raise ModelFormatError(
+            f"trunk_dims[0] == {trunk_dims[0]} but {mode.value} "
+            f"features have length {mode.length}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Parameter layout
+
+
+def _layout(trunk_dims: Sequence[int]) -> list[tuple[str, int, int]]:
+    """(name, fan_in, fan_out) of every affine layer, in parameter order.
+
+    The trunk layers come first, then the DR head, then the DME head.  Each
+    layer stores its (fan_in, fan_out) weights, then its fan_out biases.
+    """
+    pairs = zip(trunk_dims[:-1], trunk_dims[1:])
+    layers = [(f"trunk layer {k}", fan_in, fan_out) for k, (fan_in, fan_out) in enumerate(pairs)]
+    layers.append(("dr_head", trunk_dims[-1], N_DR_CLASSES))
+    layers.append(("dme_head", trunk_dims[-1], N_DME_CLASSES))
+    return layers
+
+
+def _n_params(trunk_dims: Sequence[int]) -> int:
+    return sum((fan_in + 1) * fan_out for _, fan_in, fan_out in _layout(trunk_dims))
+
+
+def _views(flat: np.ndarray, trunk_dims: Sequence[int]) -> list[np.ndarray]:
+    """C-contiguous views into ``flat``: weights, bias, weights, bias, ... per layer."""
+    views: list[np.ndarray] = []
+    at = 0
+    for _, fan_in, fan_out in _layout(trunk_dims):
+        views.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        views.append(flat[at : at + fan_out])
+        at += fan_out
+    return views
 
 
 # ---------------------------------------------------------------------------
 # Forward / loss / backward
 
 
-def preprocess(features: FeatureVector, model: GraderModel) -> np.ndarray:
-    """Map raw counts to the network's input space: (log1p(v) - shift) / scale."""
-    if features.mode is not model.feature_mode:
-        raise ValueError(
-            f"feature mode {features.mode.value} does not match model "
-            f"({model.feature_mode.value})"
-        )
-    raw = np.asarray(features.values, dtype=np.float64)
-    return (np.log1p(raw) - model.shift) / model.scale
+def _standardize(raw: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Map raw counts to the network's input space: (log1p(raw) - shift) / scale."""
+    return (np.log1p(raw) - shift) / scale
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _params_list(model: GraderModel) -> list[np.ndarray]:
-    params: list[np.ndarray] = []
-    for w, b in zip(model.trunk_weights, model.trunk_biases):
-        params.extend((w, b))
-    params.extend((model.dr_weights, model.dr_bias, model.dme_weights, model.dme_bias))
-    return params
 
 
 def _forward_batch(
@@ -223,33 +226,6 @@ def _forward_batch(
     cache["dr_logits"] = dr_logits
     cache["dme_logits"] = dme_logits
     return _softmax(dr_logits), _softmax(dme_logits), cache
-
-
-def forward(
-    model: GraderModel,
-    features: FeatureVector,
-    training_mode: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    dropout_prob: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities for one feature vector: (5 DR probs, 3 DME probs).
-
-    Dropout (inverted scaling) is applied only when ``training_mode`` is set
-    and ``dropout_prob`` > 0; inference is deterministic.
-    """
-    x = preprocess(features, model)[np.newaxis, :]
-    p = dropout_prob if training_mode else 0.0
-    dr_probs, dme_probs, _ = _forward_batch(
-        _params_list(model), len(model.trunk_weights), x, dropout_prob=p, rng=rng
-    )
-    return dr_probs[0], dme_probs[0]
-
-
-def loss(dr_probs: np.ndarray, dme_probs: np.ndarray, label: GradePair) -> float:
-    """Summed cross-entropy of the two heads, natural log, probs clamped at 1e-12."""
-    p_dr = max(float(dr_probs[label.dr]), PROB_CLAMP)
-    p_dme = max(float(dme_probs[label.dme]), PROB_CLAMP)
-    return float(-math.log(p_dr) - math.log(p_dme))
 
 
 def _mean_loss(dr_probs: np.ndarray, dme_probs: np.ndarray, y_dr: np.ndarray, y_dme: np.ndarray) -> float:
@@ -321,16 +297,18 @@ def loss_and_gradients(
 # Training
 
 
+def _init_flat(rng: np.random.Generator, trunk_dims: Sequence[int]) -> np.ndarray:
+    """Uniform(+-sqrt(6/fan_in)) weights, zero biases, heads included, as one vector."""
+    flat = np.zeros(_n_params(trunk_dims))
+    for w in _views(flat, trunk_dims)[0::2]:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return flat
+
+
 def _init_params(rng: np.random.Generator, trunk_dims: Sequence[int]) -> list[np.ndarray]:
-    """Uniform(+-sqrt(6/fan_in)) weights, zero biases, heads included."""
-    params: list[np.ndarray] = []
-    pairs = list(zip(trunk_dims[:-1], trunk_dims[1:]))
-    pairs += [(trunk_dims[-1], N_DR_CLASSES), (trunk_dims[-1], N_DME_CLASSES)]
-    for fan_in, fan_out in pairs:
-        bound = np.sqrt(6.0 / fan_in)
-        params.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        params.append(np.zeros(fan_out))
-    return params
+    """The initial parameters as per-layer views into one fresh vector."""
+    return _views(_init_flat(rng, trunk_dims), trunk_dims)
 
 
 def _fit_preprocess(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,19 +353,20 @@ def train(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     shift, scale = _fit_preprocess(raw[train_idx])
-    x_all = (np.log1p(raw) - shift) / scale
+    x_all = _standardize(raw, shift, scale)
     x_train, y_dr_train, y_dme_train = x_all[train_idx], y_dr_all[train_idx], y_dme_all[train_idx]
     x_val, y_dr_val, y_dme_val = x_all[val_idx], y_dr_all[val_idx], y_dme_all[val_idx]
 
     trunk_dims = (mode.length, *hidden_dims)
     n_trunk = len(trunk_dims) - 1
-    params = _init_params(rng, trunk_dims)
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    flat = _init_flat(rng, trunk_dims)
+    params = _views(flat, trunk_dims)  # updated in place through flat
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
     step = 0
 
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_flat = flat.copy()
     best_epoch = 0
     epochs_since_best = 0
     epochs_run = 0
@@ -406,21 +385,22 @@ def train(
                 dropout_prob=config.dropout_prob,
                 rng=rng,
             )
+            # Adam is element-wise, so one update over the whole vector gives
+            # the same numbers as one per layer.
+            g = np.concatenate(grads, axis=None)
             step += 1
-            lr_t = config.learning_rate
-            for i, g in enumerate(grads):
-                adam_m[i] = ADAM_BETA1 * adam_m[i] + (1.0 - ADAM_BETA1) * g
-                adam_v[i] = ADAM_BETA2 * adam_v[i] + (1.0 - ADAM_BETA2) * g * g
-                m_hat = adam_m[i] / (1.0 - ADAM_BETA1**step)
-                v_hat = adam_v[i] / (1.0 - ADAM_BETA2**step)
-                params[i] = params[i] - lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
+            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
+            flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         dr_p, dme_p, _ = _forward_batch(params, n_trunk, x_val)
         val_loss = _mean_loss(dr_p, dme_p, y_dr_val, y_dme_val)
         epochs_run = epoch
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best_flat = flat.copy()
             best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -428,18 +408,11 @@ def train(
             if epochs_since_best >= config.patience:
                 break
 
-    trunk_weights = [best_params[2 * k] for k in range(n_trunk)]
-    trunk_biases = [best_params[2 * k + 1] for k in range(n_trunk)]
     return GraderModel(
         feature_mode=mode,
         thresholds=thresholds,
         trunk_dims=trunk_dims,
-        trunk_weights=trunk_weights,
-        trunk_biases=trunk_biases,
-        dr_weights=best_params[2 * n_trunk],
-        dr_bias=best_params[2 * n_trunk + 1],
-        dme_weights=best_params[2 * n_trunk + 2],
-        dme_bias=best_params[2 * n_trunk + 3],
+        params=best_flat,
         shift=shift,
         scale=scale,
         seed=config.seed,
@@ -456,11 +429,11 @@ def train(
 
 def predict(model: GraderModel, features: FeatureVector) -> GradePair:
     """Most probable grade pair; argmax ties resolve to the lower grade."""
-    dr_probs, dme_probs = forward(model, features)
-    return GradePair(dr=int(np.argmax(dr_probs)), dme=int(np.argmax(dme_probs)))
+    return predict_batch(model, [features])[0]
 
 
 def predict_batch(model: GraderModel, features: Sequence[FeatureVector]) -> list[GradePair]:
+    """Most probable grade pair for each feature vector, in one forward pass."""
     if not features:
         return []
     for fv in features:
@@ -469,8 +442,9 @@ def predict_batch(model: GraderModel, features: Sequence[FeatureVector]) -> list
                 f"feature mode {fv.mode.value} does not match model ({model.feature_mode.value})"
             )
     raw = np.array([fv.values for fv in features], dtype=np.float64)
-    x = (np.log1p(raw) - model.shift) / model.scale
-    dr_probs, dme_probs, _ = _forward_batch(_params_list(model), len(model.trunk_weights), x)
+    x = _standardize(raw, model.shift, model.scale)
+    params = _views(model.params, model.trunk_dims)
+    dr_probs, dme_probs, _ = _forward_batch(params, len(model.trunk_dims) - 1, x)
     return [
         GradePair(dr=int(d), dme=int(m))
         for d, m in zip(dr_probs.argmax(axis=1), dme_probs.argmax(axis=1))
@@ -483,17 +457,16 @@ def predict_batch(model: GraderModel, features: Sequence[FeatureVector]) -> list
 
 def save_model(model: GraderModel, path: str | Path) -> None:
     """Serialize to JSON.  Float repr round-trips, so load(save(m)) == m."""
+    views = _views(model.params, model.trunk_dims)
+    layers = [{"weights": w.tolist(), "bias": b.tolist()} for w, b in zip(views[0::2], views[1::2])]
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_mode": model.feature_mode.value,
         "thresholds": list(model.thresholds.as_tuple()),
         "trunk_dims": list(model.trunk_dims),
-        "trunk": [
-            {"weights": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(model.trunk_weights, model.trunk_biases)
-        ],
-        "dr_head": {"weights": model.dr_weights.tolist(), "bias": model.dr_bias.tolist()},
-        "dme_head": {"weights": model.dme_weights.tolist(), "bias": model.dme_bias.tolist()},
+        "trunk": layers[:-2],
+        "dr_head": layers[-2],
+        "dme_head": layers[-1],
         "preprocess": {"shift": model.shift.tolist(), "scale": model.scale.tolist()},
         "seed": model.seed,
         "training": model.training_meta,
@@ -501,14 +474,67 @@ def save_model(model: GraderModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def _matrix(doc: dict, section: str, key: str, ndim: int) -> np.ndarray:
+def _array(doc: object, section: str, key: str) -> np.ndarray:
     try:
-        arr = np.asarray(doc[key], dtype=np.float64)
+        return np.asarray(doc[key], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{section}: bad or missing {key}: {exc}") from None
-    if arr.ndim != ndim:
-        raise ModelFormatError(f"{section}: {key} must be {ndim}-dimensional")
-    return arr
+
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name)
+    if not isinstance(section, dict):
+        raise ModelFormatError(f"missing {name} section")
+    return section
+
+
+def _model_from_doc(doc: object) -> GraderModel:
+    if not isinstance(doc, dict):
+        raise ModelFormatError("expected a JSON object")
+    version = doc.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(f"unknown format_version {version!r}")
+    try:
+        mode = FeatureMode(doc["feature_mode"])
+    except (KeyError, ValueError):
+        raise ModelFormatError("bad or missing feature_mode") from None
+    try:
+        thresholds = SizeThresholds(*(int(t) for t in doc["thresholds"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad thresholds: {exc}") from None
+    try:
+        trunk_dims = tuple(int(d) for d in doc["trunk_dims"])
+        trunk = doc["trunk"]
+        if not isinstance(trunk, list):
+            raise TypeError("trunk must be a list")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad trunk structure: {exc}") from None
+    _check_dims(trunk_dims, mode)
+
+    # Each section must match the layout that trunk_dims implies before the
+    # flat vector is built from them.
+    layout = _layout(trunk_dims)
+    sections = [*trunk, _section(doc, "dr_head"), _section(doc, "dme_head")]
+    if len(sections) != len(layout):
+        raise ModelFormatError(f"expected {len(layout) - 2} trunk layers, got {len(trunk)}")
+    arrays = []
+    for section, (name, fan_in, fan_out) in zip(sections, layout):
+        for key, want in (("weights", (fan_in, fan_out)), ("bias", (fan_out,))):
+            arr = _array(section, name, key)
+            if arr.shape != want:
+                raise ModelFormatError(f"{name}: {key} shape {arr.shape}, expected {want}")
+            arrays.append(arr)
+    pre = _section(doc, "preprocess")
+    return GraderModel(
+        feature_mode=mode,
+        thresholds=thresholds,
+        trunk_dims=trunk_dims,
+        params=np.concatenate(arrays, axis=None),
+        shift=_array(pre, "preprocess", "shift"),
+        scale=_array(pre, "preprocess", "scale"),
+        seed=doc.get("seed"),
+        training_meta=doc.get("training"),
+    )
 
 
 def load_model(path: str | Path) -> GraderModel:
@@ -519,61 +545,7 @@ def load_model(path: str | Path) -> GraderModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unknown format_version {version!r}")
     try:
-        mode = FeatureMode(doc["feature_mode"])
-    except (KeyError, ValueError):
-        raise ModelFormatError(f"{path}: bad or missing feature_mode") from None
-    try:
-        thresholds = SizeThresholds(*(int(t) for t in doc["thresholds"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: bad thresholds: {exc}") from None
-    try:
-        trunk_dims = tuple(int(d) for d in doc["trunk_dims"])
-        layers = doc["trunk"]
-        if not isinstance(layers, list):
-            raise TypeError("trunk must be a list")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: bad trunk structure: {exc}") from None
-
-    trunk_weights, trunk_biases = [], []
-    for k, layer in enumerate(layers):
-        trunk_weights.append(_matrix(layer, f"trunk layer {k}", "weights", 2))
-        trunk_biases.append(_matrix(layer, f"trunk layer {k}", "bias", 1))
-    heads = {}
-    for name in ("dr_head", "dme_head"):
-        section = doc.get(name)
-        if not isinstance(section, dict):
-            raise ModelFormatError(f"{path}: missing {name}")
-        heads[name] = (
-            _matrix(section, name, "weights", 2),
-            _matrix(section, name, "bias", 1),
-        )
-    pre = doc.get("preprocess")
-    if not isinstance(pre, dict):
-        raise ModelFormatError(f"{path}: missing preprocess section")
-    shift = _matrix(pre, "preprocess", "shift", 1)
-    scale = _matrix(pre, "preprocess", "scale", 1)
-
-    try:
-        return GraderModel(
-            feature_mode=mode,
-            thresholds=thresholds,
-            trunk_dims=trunk_dims,
-            trunk_weights=trunk_weights,
-            trunk_biases=trunk_biases,
-            dr_weights=heads["dr_head"][0],
-            dr_bias=heads["dr_head"][1],
-            dme_weights=heads["dme_head"][0],
-            dme_bias=heads["dme_head"][1],
-            shift=shift,
-            scale=scale,
-            seed=doc.get("seed"),
-            training_meta=doc.get("training"),
-        )
+        return _model_from_doc(doc)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

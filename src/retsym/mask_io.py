@@ -197,6 +197,14 @@ def _read_pgm(path: Path) -> np.ndarray:
             )
         flat = np.frombuffer(payload, dtype=np.uint8)
     else:
+        # Each sample needs at least a separator and a digit; checking that
+        # before allocating keeps a forged header from sizing the buffer.
+        if len(data) - scanner.pos < 2 * count:
+            raise scanner.error(
+                f"truncated samples: {count} samples need at least {2 * count} bytes, "
+                f"found {len(data) - scanner.pos}",
+                len(data),
+            )
         samples = np.empty(count, dtype=np.uint8)
         for k in range(count):
             offset = scanner.pos

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .mask_io import LesionClass, LesionMask
 
 
@@ -55,11 +53,6 @@ class RegionSet:
 
     def __len__(self) -> int:
         return len(self.regions)
-
-
-def count_regions(region_set: RegionSet) -> int:
-    """Number of connected regions in the set."""
-    return len(region_set.regions)
 
 
 class _UnionFind:
@@ -170,28 +163,3 @@ def extract_regions(mask: LesionMask) -> RegionSet:
     regions.sort(key=lambda r: r.seed_pixel)
     return RegionSet(lesion_class=mask.lesion_class, regions=tuple(regions))
 
-
-def region_pixels(mask: LesionMask, region: Region) -> np.ndarray:
-    """Boolean image of the single region containing ``region.seed_pixel``.
-
-    Re-grows the component from its seed by iterative dilation within the
-    region's bounding box; used to check connectivity soundness.
-    """
-    r0, c0, r1, c1 = region.bbox
-    window = mask.pixels[r0 : r1 + 1, c0 : c1 + 1]
-    grown = np.zeros_like(window)
-    grown[region.seed_pixel[0] - r0, region.seed_pixel[1] - c0] = True
-    while True:
-        padded = np.pad(grown, 1)
-        neighbors = (
-            padded[:-2, :-2] | padded[:-2, 1:-1] | padded[:-2, 2:]
-            | padded[1:-1, :-2] | padded[1:-1, 1:-1] | padded[1:-1, 2:]
-            | padded[2:, :-2] | padded[2:, 1:-1] | padded[2:, 2:]
-        )
-        next_grown = neighbors & window
-        if np.array_equal(next_grown, grown):
-            break
-        grown = next_grown
-    out = np.zeros_like(mask.pixels)
-    out[r0 : r1 + 1, c0 : c1 + 1] = grown
-    return out

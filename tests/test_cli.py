@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from retsym import load_model, read_features_csv
+from retsym import ModelFormatError, load_model, read_features_csv
 from retsym.cli import main, read_predictions_csv
 
 
@@ -141,6 +141,20 @@ def test_input_errors_exit_2(pipeline, tmp_path, capsys):
     # impossible packing
     assert main(["synth", "--out", str(tmp_path / "d2"), "--n", "3",
                  "--canvas", "32x32"]) == 2
+
+
+def test_nan_weight_model_is_rejected(pipeline, tmp_path, capsys):
+    doc = json.loads((pipeline / "model.json").read_text())
+    doc["dr_head"]["bias"][0] = float("nan")
+    nan_model = tmp_path / "nan.json"
+    nan_model.write_text(json.dumps(doc))  # json writes NaN, and reads it back
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(nan_model)
+    assert main(["predict", "--model", str(nan_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_failed_write_leaves_no_partial_file(pipeline, tmp_path, capsys):

@@ -10,7 +10,6 @@ from retsym import (
     GraderModel,
     ModelFormatError,
     TrainConfig,
-    forward,
     load_model,
     predict,
     predict_batch,
@@ -21,10 +20,11 @@ from retsym.grader import (
     _fit_preprocess,
     _forward_batch,
     _init_params,
+    _mean_loss,
     _softmax,
-    loss,
+    _standardize,
+    _views,
     loss_and_gradients,
-    preprocess,
 )
 
 from oracles import ce_loss_from_logits, matmul_loops, running_mean_std
@@ -88,21 +88,25 @@ def test_softmax_properties():
     assert np.allclose(_softmax(z + 1000.0), p)
 
 
-def test_loss_matches_log_sum_exp_oracle():
+def test_mean_loss_matches_log_sum_exp_oracle():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        dr_logits = rng.normal(size=5) * 3
-        dme_logits = rng.normal(size=3) * 3
-        label = GradePair(int(rng.integers(0, 5)), int(rng.integers(0, 3)))
-        got = loss(_softmax(dr_logits[None])[0], _softmax(dme_logits[None])[0], label)
-        want = ce_loss_from_logits(dr_logits, dme_logits, label.dr, label.dme)
+    for _ in range(50):
+        dr_logits = rng.normal(size=(4, 5)) * 3
+        dme_logits = rng.normal(size=(4, 3)) * 3
+        y_dr = rng.integers(0, 5, size=4)
+        y_dme = rng.integers(0, 3, size=4)
+        got = _mean_loss(_softmax(dr_logits), _softmax(dme_logits), y_dr, y_dme)
+        want = np.mean([
+            ce_loss_from_logits(dr_logits[i], dme_logits[i], y_dr[i], y_dme[i])
+            for i in range(4)
+        ])
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_loss_clamps_zero_probability():
-    p_dr = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    p_dme = np.array([1.0, 0.0, 0.0])
-    value = loss(p_dr, p_dme, GradePair(1, 1))
+def test_mean_loss_clamps_zero_probability():
+    p_dr = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+    p_dme = np.array([[1.0, 0.0, 0.0]])
+    value = _mean_loss(p_dr, p_dme, np.array([1]), np.array([1]))
     assert np.isfinite(value)
     assert value == pytest.approx(2 * -np.log(1e-12))
 
@@ -194,14 +198,25 @@ def test_dropout_requires_rng():
         _forward_batch(params, 1, np.zeros((2, 4)), dropout_prob=0.5, rng=None)
 
 
+def _model_probs(model, x):
+    """(DR, DME) probabilities of a trained model for standardized inputs."""
+    params = _views(model.params, model.trunk_dims)
+    dr_probs, dme_probs, _ = _forward_batch(params, len(model.trunk_dims) - 1, x)
+    return dr_probs, dme_probs
+
+
 def test_inference_is_deterministic_despite_dropout_config():
     model = train(_toy_dataset(), TrainConfig(max_epochs=5), hidden_dims=TINY_DIMS)
-    fv = _simple(1, 2, 3, 4)
-    a = forward(model, fv)
-    b = forward(model, fv)
+    assert model.training_meta["config"]["dropout_prob"] > 0
+    raw = np.array([[1, 2, 3, 4], [40, 50, 30, 45]], dtype=np.float64)
+    x = _standardize(raw, model.shift, model.scale)
+    a = _model_probs(model, x)
+    b = _model_probs(model, x)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    assert a[0].shape == (5,) and a[1].shape == (3,)
-    assert a[0].sum() == pytest.approx(1.0) and a[1].sum() == pytest.approx(1.0)
+    assert a[0].shape == (2, 5) and a[1].shape == (2, 3)
+    assert np.allclose(a[0].sum(axis=1), 1.0) and np.allclose(a[1].sum(axis=1), 1.0)
+    vectors = [_simple(*(int(v) for v in row)) for row in raw]
+    assert predict_batch(model, vectors) == predict_batch(model, vectors)
 
 
 def test_init_params_bounds_and_shapes():
@@ -234,14 +249,16 @@ def test_fit_preprocess_constant_column():
     assert np.all(scale == 1.0)
 
 
-def test_preprocess_applies_model_stats():
+def test_predict_batch_applies_model_stats():
     model = train(_toy_dataset(), TrainConfig(max_epochs=2), hidden_dims=TINY_DIMS)
-    fv = _simple(3, 0, 7, 1)
-    x = preprocess(fv, model)
-    want = (np.log1p([3, 0, 7, 1]) - model.shift) / model.scale
+    raw = np.array([[3, 0, 7, 1], [50, 41, 33, 59]], dtype=np.float64)
+    x = _standardize(raw, model.shift, model.scale)
+    want = (np.log1p(raw) - model.shift) / model.scale
     assert np.allclose(x, want)
-    with pytest.raises(ValueError):
-        preprocess(FeatureVector(FeatureMode.EXTENDED, (0,) * 12), model)
+    dr_probs, dme_probs = _model_probs(model, want)
+    expected = [GradePair(int(d), int(m))
+                for d, m in zip(dr_probs.argmax(axis=1), dme_probs.argmax(axis=1))]
+    assert predict_batch(model, [_simple(*(int(v) for v in row)) for row in raw]) == expected
 
 
 def test_train_learns_separable_data():
@@ -257,9 +274,7 @@ def test_train_is_deterministic():
     config = TrainConfig(max_epochs=4)
     a = train(data, config, hidden_dims=TINY_DIMS)
     b = train(data, config, hidden_dims=TINY_DIMS)
-    for pa, pb in zip(a.trunk_weights + [a.dr_weights, a.dme_weights],
-                      b.trunk_weights + [b.dr_weights, b.dme_weights]):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.params, b.params)
     assert a.training_meta == b.training_meta
 
 
@@ -267,7 +282,8 @@ def test_seed_changes_weights():
     data = _toy_dataset()
     a = train(data, TrainConfig(max_epochs=2, seed=1), hidden_dims=TINY_DIMS)
     b = train(data, TrainConfig(max_epochs=2, seed=2), hidden_dims=TINY_DIMS)
-    assert not np.array_equal(a.trunk_weights[0], b.trunk_weights[0])
+    first_layer = [_views(m.params, m.trunk_dims)[0] for m in (a, b)]
+    assert not np.array_equal(*first_layer)
 
 
 def test_training_meta_contents():
@@ -332,14 +348,8 @@ def test_save_load_round_trip(tmp_path):
     assert again.trunk_dims == model.trunk_dims
     assert again.thresholds == model.thresholds
     assert again.seed == model.seed
-    for a, b in zip(
-        model.trunk_weights + model.trunk_biases
-        + [model.dr_weights, model.dr_bias, model.dme_weights, model.dme_bias,
-           model.shift, model.scale],
-        again.trunk_weights + again.trunk_biases
-        + [again.dr_weights, again.dr_bias, again.dme_weights, again.dme_bias,
-           again.shift, again.scale],
-    ):
+    for a, b in ((model.params, again.params), (model.shift, again.shift),
+                 (model.scale, again.scale)):
         assert np.array_equal(a, b)
     fv = _simple(9, 9, 9, 9)
     assert predict(model, fv) == predict(again, fv)
@@ -381,19 +391,51 @@ def test_load_model_errors(tmp_path):
         load_model(tmp_path / "missing.json")
 
 
-def test_model_shape_validation():
+def test_load_model_rejects_transposed_trunk_weights(tmp_path):
     model = train(_toy_dataset(), TrainConfig(max_epochs=1), hidden_dims=TINY_DIMS)
-    with pytest.raises(ValueError):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    for layer in doc["trunk"]:
+        layer["weights"] = np.array(layer["weights"]).T.tolist()  # wrong orientation
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="trunk layer 0: weights shape"):
+        load_model(path)
+
+
+def test_model_rejects_params_of_wrong_length():
+    model = train(_toy_dataset(), TrainConfig(max_epochs=1), hidden_dims=TINY_DIMS)
+    with pytest.raises(ModelFormatError, match="params shape"):
         GraderModel(
             feature_mode=model.feature_mode,
             thresholds=model.thresholds,
             trunk_dims=model.trunk_dims,
-            trunk_weights=[w.T for w in model.trunk_weights],  # wrong orientation
-            trunk_biases=model.trunk_biases,
-            dr_weights=model.dr_weights,
-            dr_bias=model.dr_bias,
-            dme_weights=model.dme_weights,
-            dme_bias=model.dme_bias,
+            params=model.params[:-1],
             shift=model.shift,
             scale=model.scale,
         )
+
+
+@pytest.mark.parametrize("field,bad", [("params", -np.inf), ("shift", np.nan), ("scale", np.inf)])
+def test_model_rejects_non_finite_values(field, bad):
+    model = train(_toy_dataset(), TrainConfig(max_epochs=1), hidden_dims=TINY_DIMS)
+    fields = {"params": model.params.copy(), "shift": model.shift.copy(),
+              "scale": model.scale.copy()}
+    fields[field][0] = bad
+    with pytest.raises(ModelFormatError, match=f"{field} holds a non-finite value"):
+        GraderModel(feature_mode=model.feature_mode, thresholds=model.thresholds,
+                    trunk_dims=model.trunk_dims, **fields)
+
+
+def test_params_views_follow_the_json_sections(tmp_path):
+    model = train(_toy_dataset(), TrainConfig(max_epochs=1), hidden_dims=(16, 8))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    sections = doc["trunk"] + [doc["dr_head"], doc["dme_head"]]
+    want = [np.array(s[key]) for s in sections for key in ("weights", "bias")]
+    got = _views(model.params, model.trunk_dims)
+    assert [v.shape for v in got] == [w.shape for w in want]
+    for v, w in zip(got, want):
+        assert v.flags.c_contiguous and np.shares_memory(v, model.params)
+        assert np.array_equal(v, w)

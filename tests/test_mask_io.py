@@ -11,6 +11,7 @@ from retsym import (
     save_mask,
     write_manifest,
 )
+from retsym.cli import main
 from retsym.mask_io import BINARIZE_THRESHOLD
 
 from conftest import mask_from_ascii
@@ -79,6 +80,10 @@ def test_p5_magic_and_dimensions_preserved(tmp_path):
     assert load_mask(path, LesionClass.MA).pixels.shape == (2, 3)
 
 
+# A 23-byte P2 header that declares 10^12 samples.
+OVERSIZED_P2 = b"P2 1000000 1000000 255\n"
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [
@@ -88,6 +93,7 @@ def test_p5_magic_and_dimensions_preserved(tmp_path):
         (b"P5\n2 2\n255\n" + bytes(3), "truncated"),
         (b"P5\n2 x\n255\n" + bytes(4), "integer"),
         (b"P2\n2 2\n255\n255 0 0\n", "end of file"),
+        (OVERSIZED_P2, "truncated samples"),
     ],
 )
 def test_malformed_pgm_raises_with_offset(tmp_path, content, fragment):
@@ -119,6 +125,19 @@ def test_trailing_data_rejected(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(5))
     with pytest.raises(MaskFormatError):
         load_mask(path, LesionClass.MA)
+
+
+def test_extract_rejects_oversized_p2_header(tmp_path, capsys):
+    assert len(OVERSIZED_P2) == 23
+    (tmp_path / "big.pgm").write_bytes(OVERSIZED_P2)
+    save_mask(LesionMask(np.zeros((2, 2), dtype=bool), LesionClass.HE), tmp_path / "ok.pgm")
+    write_manifest(tmp_path / "m.csv", [{
+        "image_id": "img0", "ma_mask": "big.pgm", "he_mask": "ok.pgm",
+        "se_mask": "ok.pgm", "ex_mask": "ok.pgm", "dr_grade": "0", "dme_grade": "0",
+    }])
+    assert main(["extract", "--manifest", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "truncated samples" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
