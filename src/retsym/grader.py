@@ -117,7 +117,7 @@ class GraderModel:
     training_meta: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.trunk_dims = tuple(int(d) for d in self.trunk_dims)
+        self.trunk_dims = _integers(self.trunk_dims, "trunk_dims")
         dims = self.trunk_dims
         _check_dims(dims, self.feature_mode)
         n_params = _n_params(dims)
@@ -133,6 +133,15 @@ class GraderModel:
                 raise ModelFormatError(f"{name} holds a non-finite value")
         if not np.all(self.scale > 0):
             raise ModelFormatError("preprocess scale entries must be strictly positive")
+
+
+def _integers(values: Sequence, name: str) -> tuple[int, ...]:
+    """``values`` as ints; a float, bool or string entry is rejected rather
+    than truncated."""
+    values = tuple(values)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        raise ModelFormatError(f"{name} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
 
 
 def _check_dims(trunk_dims: tuple[int, ...], mode: FeatureMode) -> None:
@@ -499,11 +508,11 @@ def _model_from_doc(doc: object) -> GraderModel:
     except (KeyError, ValueError):
         raise ModelFormatError("bad or missing feature_mode") from None
     try:
-        thresholds = SizeThresholds(*(int(t) for t in doc["thresholds"]))
+        thresholds = SizeThresholds(*_integers(doc["thresholds"], "thresholds"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad thresholds: {exc}") from None
     try:
-        trunk_dims = tuple(int(d) for d in doc["trunk_dims"])
+        trunk_dims = _integers(doc["trunk_dims"], "trunk_dims")
         trunk = doc["trunk"]
         if not isinstance(trunk, list):
             raise TypeError("trunk must be a list")

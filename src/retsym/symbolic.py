@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, LesionClass
-from .regions import Region, RegionSet
+from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
 
@@ -65,19 +67,6 @@ DEFAULT_THRESHOLDS = SizeThresholds()
 
 
 @dataclass(frozen=True)
-class SizeBuckets:
-    """Partition of one region set into small/medium/large/discarded."""
-
-    small: tuple[Region, ...]
-    medium: tuple[Region, ...]
-    large: tuple[Region, ...]
-    discarded: tuple[Region, ...]
-
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.small), len(self.medium), len(self.large))
-
-
-@dataclass(frozen=True)
 class FeatureVector:
     """Region counts in a fixed order: MA, HE, SE, EX (x small/medium/large
     when extended)."""
@@ -97,15 +86,6 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-def bucket_regions(region_set: RegionSet, thresholds: SizeThresholds) -> SizeBuckets:
-    """Assign each region to small/medium/large/discarded by its pixel count."""
-    groups: tuple[list[Region], ...] = ([], [], [], [])
-    for region in region_set.regions:
-        bucket = thresholds.bucket_of(region.size)
-        groups[3 if bucket is None else bucket].append(region)
-    return SizeBuckets(*(tuple(g) for g in groups))
-
-
 def _by_class(region_sets: Iterable[RegionSet]) -> dict[LesionClass, RegionSet]:
     by_class: dict[LesionClass, RegionSet] = {}
     for rs in region_sets:
@@ -123,7 +103,7 @@ def simple_features(region_sets: Iterable[RegionSet]) -> FeatureVector:
     by_class = _by_class(region_sets)
     return FeatureVector(
         mode=FeatureMode.SIMPLE,
-        values=tuple(len(by_class[cls].regions) for cls in LESION_ORDER),
+        values=tuple(len(by_class[cls]) for cls in LESION_ORDER),
     )
 
 
@@ -134,7 +114,10 @@ def extended_features(
     by_class = _by_class(region_sets)
     values: list[int] = []
     for cls in LESION_ORDER:
-        values.extend(bucket_regions(by_class[cls], thresholds).counts())
+        # searchsorted puts s <= t0 in slot 0 and s > t3 in slot 4; slots 1-3
+        # are small, medium and large.
+        slots = np.searchsorted(thresholds.as_tuple(), by_class[cls].size_array)
+        values.extend(np.bincount(slots, minlength=5)[1:4].tolist())
     return FeatureVector(mode=FeatureMode.EXTENDED, values=tuple(values))
 
 

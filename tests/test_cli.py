@@ -157,6 +157,29 @@ def test_nan_weight_model_is_rejected(pipeline, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key,index,value",
+    [
+        ("trunk_dims", 1, 25.9),
+        ("trunk_dims", 1, True),
+        ("thresholds", 0, 10.7),
+        ("thresholds", 0, "10"),
+    ],
+)
+def test_non_integral_model_dimensions_are_rejected(pipeline, tmp_path, capsys, key, index, value):
+    doc = json.loads((pipeline / "model.json").read_text())
+    doc[key][index] = value
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="must be integers"):
+        load_model(bad_model)
+    assert main(["predict", "--model", str(bad_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_failed_write_leaves_no_partial_file(pipeline, tmp_path, capsys):
     # predictions CSV with an id the truth does not know
     pred = tmp_path / "pred.csv"

@@ -1,0 +1,30 @@
+"""The walkthrough demos run to completion against the package in ``src/``.
+
+Demo 02 prints each region's bounding box and seed pixel, so it reads the
+geometry that :class:`retsym.RegionSet` builds only on demand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_lesion_masks.py", "02_region_extraction.py", "03_symbolic_features.py"]
+)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

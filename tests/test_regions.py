@@ -139,6 +139,54 @@ def test_random_masks_match_flood_fill_oracle():
             assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
 
 
+def _oracle_regions(pixels):
+    """(size, bbox, seed pixel) of every flood-fill component, in seed order."""
+    out = []
+    for component in flood_fill_components(pixels):
+        rows = [p[0] for p in component]
+        cols = [p[1] for p in component]
+        out.append((len(component), (min(rows), min(cols), max(rows), max(cols)), min(component)))
+    return sorted(out, key=lambda region: region[2])
+
+
+def _serpentine(side):
+    """A 1-pixel-wide path that snakes down a side x side square."""
+    pixels = np.zeros((side, side), dtype=bool)
+    pixels[0::2] = True
+    pixels[1::4, -1] = True
+    pixels[3::4, 0] = True
+    return pixels
+
+
+def _alternating(shape):
+    pixels = np.zeros(shape, dtype=bool)
+    pixels.ravel()[0::2] = True
+    return pixels
+
+
+@pytest.mark.parametrize(
+    "pixels",
+    [
+        np.random.default_rng(3).random((512, 512)) < 0.3,
+        _serpentine(257),
+        np.ones((300, 300), dtype=bool),
+        _alternating((1, 1000)),
+        _alternating((1000, 1)),
+    ],
+    ids=["random-512-0.3", "serpentine-257", "full-300", "alternating-1x1000",
+         "alternating-1000x1"],
+)
+def test_large_masks_match_flood_fill_oracle(pixels):
+    rs = extract_regions(_mask(pixels))
+    want = _oracle_regions(pixels)
+    assert [(r.size, r.bbox, r.seed_pixel) for r in rs.regions] == want
+    assert rs.sizes() == [region[0] for region in want]
+
+
+def test_serpentine_is_one_region():
+    assert extract_regions(_mask(_serpentine(257))).sizes() == [33_281]
+
+
 def test_partition_invariant():
     rng = np.random.default_rng(5)
     for _ in range(50):

@@ -10,7 +10,6 @@ from retsym import (
     Region,
     RegionSet,
     SizeThresholds,
-    bucket_regions,
     extended_features,
     read_features_csv,
     simple_features,
@@ -21,17 +20,17 @@ from retsym.symbolic import features_header
 from oracles import bucket_word
 
 
-def _region(size):
-    # geometry is irrelevant for bucketing; give each region a legal bbox
-    return Region(size=size, bbox=(0, 0, 0, max(size - 1, 0)), seed_pixel=(0, 0))
+def _region_set(cls, sizes):
+    # geometry is irrelevant for bucketing; region i is one run of sizes[i]
+    # pixels starting at (i, 0), so the seed pixels come in region order
+    n = len(sizes)
+    runs = np.array([range(n), range(n), [0] * n, sizes], dtype=np.int32)
+    return RegionSet(cls, np.array(sizes, dtype=np.int64), runs)
 
 
 def _sets(ma=(), he=(), se=(), ex=()):
     sizes = {LesionClass.MA: ma, LesionClass.HE: he, LesionClass.SE: se, LesionClass.EX: ex}
-    return [
-        RegionSet(lesion_class=cls, regions=tuple(_region(s) for s in sizes[cls]))
-        for cls in LesionClass
-    ]
+    return [_region_set(cls, sizes[cls]) for cls in LesionClass]
 
 
 def test_default_thresholds():
@@ -70,16 +69,26 @@ def test_thresholds_must_increase():
         SizeThresholds(500, 10, 1000, 10000)
 
 
-def test_bucket_regions_partitions():
-    rs = RegionSet(
-        lesion_class=LesionClass.HE,
-        regions=tuple(_region(s) for s in [5, 11, 500, 501, 1000, 1001, 10000, 10001]),
+def test_extended_features_partitions_sizes():
+    sizes = [5, 11, 500, 501, 1000, 1001, 10000, 10001]
+    vec = extended_features(_sets(he=sizes))
+    assert vec.values[3:6] == (2, 2, 2)
+    assert sum(vec.values) == len(sizes) - 2
+    # small, medium, large; 5 and 10001 are discarded
+    expected = [
+        (0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (0, 0, 0),
+    ]
+    for size, counts in zip(sizes, expected):
+        assert extended_features(_sets(he=[size])).values[3:6] == counts, size
+
+
+def test_region_set_regions_follow_its_runs():
+    rs = _region_set(LesionClass.HE, [3, 1])
+    assert len(rs) == 2 and rs.sizes() == [3, 1]
+    assert rs.regions == (
+        Region(size=3, bbox=(0, 0, 0, 2), seed_pixel=(0, 0)),
+        Region(size=1, bbox=(1, 0, 1, 0), seed_pixel=(1, 0)),
     )
-    buckets = bucket_regions(rs, DEFAULT_THRESHOLDS)
-    assert buckets.counts() == (2, 2, 2)
-    assert [r.size for r in buckets.discarded] == [5, 10001]
-    total = len(buckets.small) + len(buckets.medium) + len(buckets.large) + len(buckets.discarded)
-    assert total == len(rs)
 
 
 def test_simple_counts_everything():
