@@ -142,6 +142,20 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _integer(key: str, value) -> int:
+    """A config value that must be a JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config {key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    """A config value that must be a JSON number (not a bool or string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
     if getattr(args, "thresholds", None) is not None:
         return _parse_thresholds(args.thresholds)
@@ -149,7 +163,7 @@ def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
         values = doc["thresholds"]
         if not (isinstance(values, list) and len(values) == 4):
             raise ValueError("config thresholds must be a list of 4 integers")
-        return SizeThresholds(*(int(v) for v in values))
+        return SizeThresholds(*(_integer(f"thresholds[{i}]", v) for i, v in enumerate(values)))
     return DEFAULT_THRESHOLDS
 
 
@@ -157,21 +171,21 @@ def _train_config_from(args: argparse.Namespace, doc: dict) -> TrainConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags."""
     base = TrainConfig()
 
-    def pick(flag_value, key: str, default):
+    def pick(flag_value, key: str, check):
         if flag_value is not None:
             return flag_value
-        return doc.get(key, default)
+        if key in doc:
+            return check(key, doc[key])
+        return getattr(base, key)
 
     return TrainConfig(
-        learning_rate=float(pick(args.lr, "learning_rate", base.learning_rate)),
-        batch_size=int(pick(args.batch_size, "batch_size", base.batch_size)),
-        dropout_prob=float(pick(args.dropout, "dropout_prob", base.dropout_prob)),
-        max_epochs=int(pick(args.max_epochs, "max_epochs", base.max_epochs)),
-        patience=int(pick(args.patience, "patience", base.patience)),
-        validation_fraction=float(
-            pick(args.val_fraction, "validation_fraction", base.validation_fraction)
-        ),
-        seed=int(pick(args.seed, "seed", base.seed)),
+        learning_rate=pick(args.lr, "learning_rate", _number),
+        batch_size=pick(args.batch_size, "batch_size", _integer),
+        dropout_prob=pick(args.dropout, "dropout_prob", _number),
+        max_epochs=pick(args.max_epochs, "max_epochs", _integer),
+        patience=pick(args.patience, "patience", _integer),
+        validation_fraction=pick(args.val_fraction, "validation_fraction", _number),
+        seed=pick(args.seed, "seed", _integer),
     )
 
 
@@ -179,7 +193,10 @@ def _hidden_dims_from(args: argparse.Namespace, doc: dict) -> tuple[int, ...]:
     if getattr(args, "hidden_dims", None) is not None:
         return _parse_dims(args.hidden_dims)
     if "hidden_dims" in doc:
-        return tuple(int(v) for v in doc["hidden_dims"])
+        dims = doc["hidden_dims"]
+        if not isinstance(dims, list):
+            raise ValueError(f"config hidden_dims must be a list of integers, got {dims!r}")
+        return tuple(_integer(f"hidden_dims[{i}]", d) for i, d in enumerate(dims))
     return DEFAULT_HIDDEN_DIMS
 
 
@@ -347,7 +364,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     hidden_dims = _hidden_dims_from(args, doc)
     test_fraction = args.test_fraction
     if test_fraction is None:
-        test_fraction = float(doc.get("test_fraction", 0.2))
+        test_fraction = _number("test_fraction", doc.get("test_fraction", 0.2))
     result = ablation(
         args.manifest,
         config,

@@ -1,9 +1,11 @@
 """Binary lesion-mask I/O and the dataset manifest.
 
 Masks are single-channel PGM rasters (P2 ASCII or P5 binary, maxval <= 255).
-A pixel is lesion foreground iff its sample value exceeds 127.  The manifest
-is a CSV binding four per-class mask files and an optional (DR, DME) label
-pair to each image id.
+A P2 sample is a token of ASCII digits (leading zeros allowed); ``#`` comments
+run to end of line anywhere between tokens, and error offsets name the
+offending token.  A pixel is lesion foreground iff its sample value exceeds
+127.  The manifest is a CSV binding four per-class mask files and an optional
+(DR, DME) label pair to each image id.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from typing import Optional
 import numpy as np
 
 BINARIZE_THRESHOLD = 127  # sample value must exceed this to count as lesion
+
+_PGM_SPACE = b" \t\r\n\x0b\x0c"
+_IS_TOKEN_BYTE = np.ones(256, dtype=bool)
+_IS_TOKEN_BYTE[list(_PGM_SPACE)] = False
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[list(b"0123456789")] = True
 
 MANIFEST_COLUMNS = (
     "image_id",
@@ -117,7 +125,7 @@ class ManifestRecord:
 
 
 class _PgmScanner:
-    """Tracks a byte offset while pulling header/sample tokens from raw PGM."""
+    """Tracks a byte offset while pulling header tokens from raw PGM."""
 
     def __init__(self, data: bytes, path: Path):
         self.data = data
@@ -133,7 +141,7 @@ class _PgmScanner:
         n = len(data)
         while self.pos < n:
             c = data[self.pos]
-            if c in b" \t\r\n\x0b\x0c":
+            if c in _PGM_SPACE:
                 self.pos += 1
             elif c == ord("#"):
                 nl = data.find(b"\n", self.pos)
@@ -179,44 +187,24 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise scanner.error(f"maxval {maxval} exceeds 255 (wide samples unsupported)")
 
     count = width * height
-    if magic == b"P5":
-        # Exactly one whitespace byte separates the header from the payload.
-        if scanner.pos >= len(data) or data[scanner.pos] not in b" \t\r\n\x0b\x0c":
-            raise scanner.error("missing whitespace after maxval")
-        scanner.pos += 1
-        payload = data[scanner.pos :]
-        if len(payload) < count:
-            raise scanner.error(
-                f"truncated payload: expected {count} bytes, found {len(payload)}",
-                len(data),
-            )
-        if len(payload) > count:
-            raise scanner.error(
-                f"unexpected trailing data: expected {count} payload bytes, found {len(payload)}",
-                scanner.pos + count,
-            )
-        flat = np.frombuffer(payload, dtype=np.uint8)
-    else:
-        # Each sample needs at least a separator and a digit; checking that
-        # before allocating keeps a forged header from sizing the buffer.
-        if len(data) - scanner.pos < 2 * count:
-            raise scanner.error(
-                f"truncated samples: {count} samples need at least {2 * count} bytes, "
-                f"found {len(data) - scanner.pos}",
-                len(data),
-            )
-        samples = np.empty(count, dtype=np.uint8)
-        for k in range(count):
-            offset = scanner.pos
-            value = scanner.next_uint("sample value")
-            if value > maxval:
-                raise scanner.error(f"sample value {value} exceeds maxval {maxval}", offset)
-            samples[k] = value
-        scanner.skip_space_and_comments()
-        if scanner.pos < len(data):
-            raise scanner.error("unexpected trailing data after samples")
-        flat = samples
-
+    if magic == b"P2":
+        return _read_p2_samples(scanner, maxval, count).reshape(height, width)
+    # Exactly one whitespace byte separates the header from the payload.
+    if scanner.pos >= len(data) or data[scanner.pos] not in _PGM_SPACE:
+        raise scanner.error("missing whitespace after maxval")
+    scanner.pos += 1
+    payload = data[scanner.pos :]
+    if len(payload) < count:
+        raise scanner.error(
+            f"truncated payload: expected {count} bytes, found {len(payload)}",
+            len(data),
+        )
+    if len(payload) > count:
+        raise scanner.error(
+            f"unexpected trailing data: expected {count} payload bytes, found {len(payload)}",
+            scanner.pos + count,
+        )
+    flat = np.frombuffer(payload, dtype=np.uint8)
     over = flat > maxval
     if over.any():
         bad = int(np.flatnonzero(over)[0])
@@ -225,6 +213,88 @@ def _read_pgm(path: Path) -> np.ndarray:
             len(data) - count + bad,
         )
     return flat.reshape(height, width)
+
+
+def _read_p2_samples(scanner: _PgmScanner, maxval: int, count: int) -> np.ndarray:
+    """Parse the P2 samples after ``maxval`` in one numpy pass over the bytes.
+
+    A token is a run of bytes that are neither PGM whitespace nor inside a
+    comment (``#`` to the end of its line).  Each token must be ASCII digits
+    with a value <= ``maxval``; errors name the offending token's first byte.
+    """
+    data, base = scanner.data, scanner.pos
+    # Each sample needs at least a separator and a digit; checking that
+    # before allocating keeps a forged header from sizing the buffers.
+    if len(data) - base < 2 * count:
+        raise scanner.error(
+            f"truncated samples: {count} samples need at least {2 * count} bytes, "
+            f"found {len(data) - base}",
+            len(data),
+        )
+    raw = np.frombuffer(data, dtype=np.uint8)
+    section = raw[base:]
+    # flags[3 + i] marks section[i] as part of a token; the three False in
+    # front let every token look back three bytes without leaving the array.
+    flags = np.zeros(len(section) + 3, dtype=bool)
+    in_token = flags[3:]
+    in_token[:] = _IS_TOKEN_BYTE[section]
+    if data.find(b"#", base) != -1:
+        in_token &= ~_after_last(section == ord("#"), section == ord("\n"))
+    last = np.flatnonzero(in_token & np.diff(in_token, append=False))  # each token's last byte
+    n_tokens = len(last)
+
+    def token(k: int) -> tuple[int, bytes]:
+        """Token k's offset in ``data`` and its bytes; section[0] is never in one."""
+        start = base + int(np.flatnonzero(~in_token[: last[k]])[-1]) + 1
+        return start, data[start : base + int(last[k]) + 1]
+
+    non_digit = np.flatnonzero(in_token > _IS_DIGIT[section])  # token bytes but not digits
+    bad_token = int(np.searchsorted(last, non_digit[0])) if non_digit.size else n_tokens
+
+    # Per token, the byte k before its last one as a digit (other bytes wrap
+    # to >= 10) and whether that byte is in the token (False for header bytes).
+    def digit(k: int) -> np.ndarray:
+        return raw[base - k :][last] - np.uint8(ord("0"))
+
+    def flag(k: int) -> np.ndarray:
+        return flags[3 - k :][last]
+
+    # A token's value from its last three digits.  A longer token is zero
+    # padded or out of range; one out of range is marked 1000 > maxval.
+    values = digit(0).astype(np.uint16)
+    two = flag(1)
+    values += two * digit(1) * np.uint16(10)
+    three = two & flag(2)
+    values += three * digit(2) * np.uint16(100)
+    longer = three & flag(3)
+    if longer.any():
+        high_digit = _after_last(in_token & (section != ord("0")), ~in_token)
+        values[longer] = np.where(high_digit[last[longer] - 3], 1000, values[longer])
+
+    over = np.flatnonzero(values[: min(bad_token, count)] > maxval)
+    if over.size:
+        at, text = token(int(over[0]))
+        value = text.lstrip(b"0").decode() or "0"
+        raise scanner.error(f"sample value {value} exceeds maxval {maxval}", at)
+    if bad_token < min(n_tokens, count):
+        at, text = token(bad_token)
+        raise scanner.error(f"expected unsigned integer for sample value, got {text!r}", at)
+    if n_tokens < count:
+        raise scanner.error("unexpected end of file while reading sample value", len(data))
+    if n_tokens > count:
+        raise scanner.error("unexpected trailing data after samples", token(count)[0])
+    return values.astype(np.uint8)
+
+
+def _after_last(marks: np.ndarray, resets: np.ndarray) -> np.ndarray:
+    """True where the last mark at or before a byte comes after the last reset.
+
+    With marks at ``#`` and resets at newlines, this is the comment bytes.
+    """
+    index = np.arange(len(marks))
+    last_mark = np.maximum.accumulate(np.where(marks, index, -1))
+    last_reset = np.maximum.accumulate(np.where(resets, index, -1))
+    return last_mark > last_reset
 
 
 def load_mask(path: str | Path, lesion_class: LesionClass) -> LesionMask:

@@ -180,6 +180,28 @@ def test_non_integral_model_dimensions_are_rejected(pipeline, tmp_path, capsys, 
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"hidden_dims": [12.9, 6.5], "batch_size": 16.9, "max_epochs": 2.7},
+        {"max_epochs": True},
+        {"hidden_dims": 5},
+        {"batch_size": None},
+        {"learning_rate": "0.01"},
+        {"thresholds": [10.7, 500, 1000, 10000]},
+    ],
+)
+def test_train_config_rejects_mistyped_values(pipeline, tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", str(pipeline / "features.csv"),
+                 "--out", str(model_path), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "Traceback" not in err
+    assert not model_path.exists()
+
+
 def test_failed_write_leaves_no_partial_file(pipeline, tmp_path, capsys):
     # predictions CSV with an id the truth does not know
     pred = tmp_path / "pred.csv"

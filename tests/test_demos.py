@@ -15,7 +15,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_lesion_masks.py", "02_region_extraction.py", "03_symbolic_features.py"]
+    "demo",
+    [
+        "01_lesion_masks.py",
+        "02_region_extraction.py",
+        "03_symbolic_features.py",
+        "04_grading_and_explanations.py",
+        "05_ablation.py",
+    ],
 )
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from retsym import (
     LesionClass,
@@ -12,7 +14,7 @@ from retsym import (
     write_manifest,
 )
 from retsym.cli import main
-from retsym.mask_io import BINARIZE_THRESHOLD
+from retsym.mask_io import BINARIZE_THRESHOLD, _PgmScanner, _read_pgm
 
 from conftest import mask_from_ascii
 
@@ -105,6 +107,143 @@ def test_malformed_pgm_raises_with_offset(tmp_path, content, fragment):
     assert fragment in message, message
     assert "byte offset" in message, message
     assert path.name in message
+
+
+def test_p2_maxval_error_names_the_sample_byte(tmp_path):
+    # The 255 starts at byte 12, after the newline, tab and space that
+    # follow maxval 25.
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P2\n3 2\n25\n\t 255 7\n12 0 255\n")
+    with pytest.raises(MaskFormatError) as exc:
+        load_mask(path, LesionClass.MA)
+    assert str(exc.value) == f"{path}: sample value 255 exceeds maxval 25 (byte offset 12)"
+
+
+def _scan_p2_reference(path):
+    """Read a P2 file one token at a time with ``_PgmScanner``.
+
+    This is the per-sample reader that the numpy pass replaced, with one
+    change: a sample above maxval is reported at its own first byte.
+    """
+    data = path.read_bytes()
+    scanner = _PgmScanner(data, path)
+    magic, magic_off = scanner.next_token("magic number")
+    if magic not in (b"P2", b"P5"):
+        raise scanner.error(f"not a P2/P5 PGM file, magic {magic!r}", magic_off)
+    width = scanner.next_uint("width")
+    height = scanner.next_uint("height")
+    if width == 0 or height == 0:
+        raise scanner.error(f"zero dimension: width={width} height={height}")
+    maxval = scanner.next_uint("maxval")
+    if maxval == 0:
+        raise scanner.error("maxval must be at least 1")
+    if maxval > 255:
+        raise scanner.error(f"maxval {maxval} exceeds 255 (wide samples unsupported)")
+    count = width * height
+    if len(data) - scanner.pos < 2 * count:
+        raise scanner.error(
+            f"truncated samples: {count} samples need at least {2 * count} bytes, "
+            f"found {len(data) - scanner.pos}",
+            len(data),
+        )
+    samples = np.empty(count, dtype=np.uint8)
+    for k in range(count):
+        scanner.skip_space_and_comments()
+        offset = scanner.pos
+        value = scanner.next_uint("sample value")
+        if value > maxval:
+            raise scanner.error(f"sample value {value} exceeds maxval {maxval}", offset)
+        samples[k] = value
+    scanner.skip_space_and_comments()
+    if scanner.pos < len(data):
+        raise scanner.error("unexpected trailing data after samples")
+    return samples.reshape(height, width)
+
+
+# Valid P2 files: header comments, a comment between samples, a comment
+# glued to a token, a zero-padded sample, CR/LF and tab separators, and a
+# maxval below 255.
+P2_SEEDS = [
+    b"P2\n2 2\n255\n255 0\n0 255\n",
+    b"P2 # magic\n# a comment line\n 3 # width\n2\n255\n128 0 # in the samples\n0255 7\n0 1\n",
+    b"P2\r\n3 2\r\n25\r\n\t25 7 12\r\n0 025 3\r\n",
+    b"P2\n4 1\n200\n1#x\n22\x0b33\x0c199",
+    b"P2 1 1 9 09",
+]
+
+_MUTATION_BYTES = b"0123456789 \t\r\n\x0b\x0c#x-+"
+
+
+def _mutate(data, edits):
+    """Apply byte edits after the magic number, so P2 files stay P2."""
+    data = bytearray(data)
+    for kind, where, byte in edits:
+        at = 2 + where % (len(data) - 1)
+        if kind == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if kind == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, 200),
+        st.sampled_from(list(_MUTATION_BYTES)),
+    ),
+    max_size=4,
+)
+
+
+def _outcome(read, path):
+    try:
+        return "ok", read(path).tolist()
+    except MaskFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("seed", P2_SEEDS)
+def test_p2_seed_files_are_valid(tmp_path, seed):
+    path = tmp_path / "seed.pgm"
+    path.write_bytes(seed)
+    expected = _scan_p2_reference(path)
+    np.testing.assert_array_equal(_read_pgm(path), expected)
+    np.testing.assert_array_equal(load_mask(path, LesionClass.MA).pixels, expected > BINARIZE_THRESHOLD)
+
+
+@settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.sampled_from(P2_SEEDS), edits=_edits)
+def test_p2_reader_matches_reference_on_mutated_files(tmp_path, seed, edits):
+    path = tmp_path / "mutated.pgm"
+    path.write_bytes(_mutate(seed, edits))
+    expected = _outcome(_scan_p2_reference, path)
+    assert _outcome(_read_pgm, path) == expected
+    if expected[0] == "ok":
+        mask = load_mask(path, LesionClass.MA)
+        assert mask.pixels.tolist() == (np.array(expected[1]) > BINARIZE_THRESHOLD).tolist()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.sampled_from(P2_SEEDS + [b"P5\n2 2\n255\n\xff\x00\x00\x80", b"P5 1 2 9\n\t\x09"]),
+    edits=_edits,
+)
+def test_extract_exits_0_or_2_on_mutated_masks(tmp_path, capsys, seed, edits):
+    (tmp_path / "ma.pgm").write_bytes(_mutate(seed, edits))
+    ok = tmp_path / "ok.pgm"
+    if not ok.exists():
+        save_mask(LesionMask(np.zeros((2, 2), dtype=bool), LesionClass.HE), ok)
+    write_manifest(tmp_path / "m.csv", [{
+        "image_id": "img0", "ma_mask": "ma.pgm", "he_mask": "ok.pgm",
+        "se_mask": "ok.pgm", "ex_mask": "ok.pgm", "dr_grade": "0", "dme_grade": "0",
+    }])
+    rc = main(["extract", "--manifest", str(tmp_path / "m.csv"), "--out", str(tmp_path / "f.csv")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
 
 
 def test_missing_file_raises(tmp_path):
