@@ -114,7 +114,7 @@ def _load_config_file(path: Optional[str]) -> dict:
         return {}
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")

@@ -199,9 +199,9 @@ def _standardize(raw: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.nd
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _forward_batch(
@@ -212,36 +212,39 @@ def _forward_batch(
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Batch forward pass.  Dropout masks are drawn only when dropout_prob > 0."""
-    cache: dict = {"inputs": [], "pre": [], "masks": []}
+    n, widths = len(x), [len(b) for b in params[1 : 2 * n_trunk : 2]]
+    masks: list = [None] * n_trunk
+    if dropout_prob > 0.0:
+        if rng is None:
+            raise ValueError("dropout requires an rng")
+        # One draw for every layer, cut in layer order: the generator fills it
+        # value by value, so the masks equal one draw per layer.
+        keep = (rng.random(n * sum(widths)) >= dropout_prob) / (1.0 - dropout_prob)
+        at = 0
+        for k, width in enumerate(widths):
+            masks[k] = keep[at : at + n * width].reshape(n, width)
+            at += n * width
+    cache: dict = {"inputs": [], "pre": [], "masks": masks}
     a = x
     for k in range(n_trunk):
-        w, b = params[2 * k], params[2 * k + 1]
-        z = a @ w + b
+        # np.dot makes the same BLAS call as @, with less overhead per call.
+        z = np.dot(a, params[2 * k])
+        z += params[2 * k + 1]
         cache["inputs"].append(a)
         cache["pre"].append(z)
         a = np.maximum(z, 0.0)
-        if dropout_prob > 0.0:
-            if rng is None:
-                raise ValueError("dropout requires an rng")
-            mask = (rng.random(a.shape) >= dropout_prob) / (1.0 - dropout_prob)
-            a = a * mask
-            cache["masks"].append(mask)
-        else:
-            cache["masks"].append(None)
+        if masks[k] is not None:
+            a *= masks[k]
     cache["trunk_out"] = a
     w_dr, b_dr, w_dme, b_dme = params[2 * n_trunk : 2 * n_trunk + 4]
-    dr_logits = a @ w_dr + b_dr
-    dme_logits = a @ w_dme + b_dme
-    cache["dr_logits"] = dr_logits
-    cache["dme_logits"] = dme_logits
-    return _softmax(dr_logits), _softmax(dme_logits), cache
+    return _softmax(np.dot(a, w_dr) + b_dr), _softmax(np.dot(a, w_dme) + b_dme), cache
 
 
 def _mean_loss(dr_probs: np.ndarray, dme_probs: np.ndarray, y_dr: np.ndarray, y_dme: np.ndarray) -> float:
-    n = len(y_dr)
-    p_dr = np.maximum(dr_probs[np.arange(n), y_dr], PROB_CLAMP)
-    p_dme = np.maximum(dme_probs[np.arange(n), y_dme], PROB_CLAMP)
-    return float(-(np.log(p_dr) + np.log(p_dme)).mean())
+    rows = np.arange(len(y_dr))
+    p_dr = np.maximum(dr_probs[rows, y_dr], PROB_CLAMP)
+    p_dme = np.maximum(dme_probs[rows, y_dme], PROB_CLAMP)
+    return float(-np.add.reduce(np.log(p_dr) + np.log(p_dme)) / len(rows))
 
 
 def _backward_batch(
@@ -252,38 +255,28 @@ def _backward_batch(
     dme_probs: np.ndarray,
     y_dr: np.ndarray,
     y_dme: np.ndarray,
-) -> list[np.ndarray]:
-    """Gradients of the mean summed cross-entropy w.r.t. every parameter."""
-    n = len(y_dr)
-    g_dr = dr_probs.copy()
-    g_dr[np.arange(n), y_dr] -= 1.0
-    g_dr /= n
-    g_dme = dme_probs.copy()
-    g_dme[np.arange(n), y_dme] -= 1.0
-    g_dme /= n
+    grads: Sequence[np.ndarray],
+) -> None:
+    """Write the gradients of the mean summed cross-entropy into ``grads``."""
+    n, rows, head = len(y_dr), np.arange(len(y_dr)), 2 * n_trunk
+    g_dr, g_dme = dr_probs.copy(), dme_probs.copy()
+    for g_head, y, k in ((g_dr, y_dr, head), (g_dme, y_dme, head + 2)):
+        g_head[rows, y] -= 1.0
+        g_head /= n
+        np.dot(cache["trunk_out"].T, g_head, out=grads[k])
+        np.add.reduce(g_head, axis=0, out=grads[k + 1])
+    d_a = np.dot(g_dr, params[head].T)
+    d_a += np.dot(g_dme, params[head + 2].T)
 
-    a_last = cache["trunk_out"]
-    w_dr, _, w_dme, _ = params[2 * n_trunk : 2 * n_trunk + 4]
-    grads_heads = [
-        a_last.T @ g_dr,
-        g_dr.sum(axis=0),
-        a_last.T @ g_dme,
-        g_dme.sum(axis=0),
-    ]
-    d_a = g_dr @ w_dr.T + g_dme @ w_dme.T
-
-    grads_trunk: list[np.ndarray] = []
+    # d_a is always a fresh array, so the products below may overwrite it.
     for k in range(n_trunk - 1, -1, -1):
-        mask = cache["masks"][k]
-        if mask is not None:
-            d_a = d_a * mask
-        d_z = d_a * (cache["pre"][k] > 0.0)
-        a_prev = cache["inputs"][k]
-        grads_trunk.append(d_z.sum(axis=0))  # bias k
-        grads_trunk.append(a_prev.T @ d_z)  # weights k
-        d_a = d_z @ params[2 * k].T
-    grads_trunk.reverse()
-    return grads_trunk + grads_heads
+        if cache["masks"][k] is not None:
+            d_a *= cache["masks"][k]
+        d_a *= cache["pre"][k] > 0.0  # now the gradient w.r.t. the pre-activation
+        np.add.reduce(d_a, axis=0, out=grads[2 * k + 1])
+        np.dot(cache["inputs"][k].T, d_a, out=grads[2 * k])
+        if k:
+            d_a = np.dot(d_a, params[2 * k].T)
 
 
 def loss_and_gradients(
@@ -294,12 +287,40 @@ def loss_and_gradients(
     y_dme: np.ndarray,
     dropout_prob: float = 0.0,
     rng: Optional[np.random.Generator] = None,
+    *,
+    out: Optional[list[np.ndarray]] = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean loss over a batch and its analytic parameter gradients."""
+    """Mean loss over a batch and its analytic parameter gradients, written
+    into ``out`` (one array per entry of ``params``) or into fresh arrays."""
+    if out is None:
+        out = [np.empty(np.shape(p)) for p in params]
     dr_probs, dme_probs, cache = _forward_batch(params, n_trunk, x, dropout_prob, rng)
     value = _mean_loss(dr_probs, dme_probs, y_dr, y_dme)
-    grads = _backward_batch(params, n_trunk, cache, dr_probs, dme_probs, y_dr, y_dme)
-    return value, grads
+    _backward_batch(params, n_trunk, cache, dr_probs, dme_probs, y_dr, y_dme, out)
+    return value, out
+
+
+def _adam_step(
+    flat: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+    s1: np.ndarray, s2: np.ndarray, step: int, lr: float,
+) -> None:
+    """One Adam step (Kingma & Ba, ICLR 2015) on ``flat``, moments ``m`` and
+    ``v`` and scratch ``s1``, ``s2``, all in place.  The operations keep the
+    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``flat -= (lr*m_hat) / (sqrt(v_hat)+eps)``, so every bit matches it."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+    s1 *= g
+    v *= ADAM_BETA2
+    v += s1
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=s1)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**step, out=s2)  # v_hat
+    s1 *= lr
+    np.sqrt(s2, out=s2)
+    s2 += ADAM_EPS
+    s1 /= s2
+    flat -= s1
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +391,9 @@ def train(
     n_trunk = len(trunk_dims) - 1
     flat = _init_flat(rng, trunk_dims)
     params = _views(flat, trunk_dims)  # updated in place through flat
-    adam_m = np.zeros_like(flat)
-    adam_v = np.zeros_like(flat)
+    g = np.empty_like(flat)
+    grads = _views(g, trunk_dims)  # written in place by each step
+    adam_m, adam_v, s1, s2 = (np.zeros_like(flat) for _ in range(4))  # s1, s2: scratch
     step = 0
 
     best_val = np.inf
@@ -383,33 +405,25 @@ def train(
     n_train = len(train_idx)
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_train)
+        xs, dr_ys, dme_ys = x_train[order], y_dr_train[order], y_dme_train[order]
         for start in range(0, n_train, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            _, grads = loss_and_gradients(
-                params,
-                n_trunk,
-                x_train[batch],
-                y_dr_train[batch],
-                y_dme_train[batch],
-                dropout_prob=config.dropout_prob,
-                rng=rng,
+            batch = slice(start, start + config.batch_size)
+            loss_and_gradients(
+                params, n_trunk, xs[batch], dr_ys[batch], dme_ys[batch],
+                dropout_prob=config.dropout_prob, rng=rng, out=grads,
             )
+            step += 1
             # Adam is element-wise, so one update over the whole vector gives
             # the same numbers as one per layer.
-            g = np.concatenate(grads, axis=None)
-            step += 1
-            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
-            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = adam_m / (1.0 - ADAM_BETA1**step)
-            v_hat = adam_v / (1.0 - ADAM_BETA2**step)
-            flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            _adam_step(flat, g, adam_m, adam_v, s1, s2, step, config.learning_rate)
 
-        dr_p, dme_p, _ = _forward_batch(params, n_trunk, x_val)
+        # [:2] drops the cache, so no forward pass outlives its epoch.
+        dr_p, dme_p = _forward_batch(params, n_trunk, x_val)[:2]
         val_loss = _mean_loss(dr_p, dme_p, y_dr_val, y_dme_val)
         epochs_run = epoch
         if val_loss < best_val:
             best_val = val_loss
-            best_flat = flat.copy()
+            best_flat[...] = flat
             best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -552,7 +566,7 @@ def load_model(path: str | Path) -> GraderModel:
         raise ModelFormatError(f"{path}: model file does not exist")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     try:
         return _model_from_doc(doc)

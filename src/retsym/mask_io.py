@@ -25,6 +25,9 @@ _IS_TOKEN_BYTE = np.ones(256, dtype=bool)
 _IS_TOKEN_BYTE[list(_PGM_SPACE)] = False
 _IS_DIGIT = np.zeros(256, dtype=bool)
 _IS_DIGIT[list(b"0123456789")] = True
+# P2 output for a sample, indexed by [last in its row, foreground]: the value,
+# then " " or a newline, NUL-padded to four bytes.
+_P2_CELLS = np.frombuffer(b"0 \x00\x00255 0\n\x00\x00255\n", dtype=np.uint8).reshape(2, 2, 4)
 
 MANIFEST_COLUMNS = (
     "image_id",
@@ -313,12 +316,13 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
     round-trips bit-exactly through :func:`load_mask`.
     """
     path = Path(path)
-    values = np.where(mask.pixels, np.uint8(255), np.uint8(0))
     header = f"{'P2' if ascii_format else 'P5'}\n{mask.width} {mask.height}\n255\n"
     if ascii_format:
-        body = "\n".join(" ".join(str(v) for v in row) for row in values.tolist())
-        path.write_bytes(header.encode("ascii") + body.encode("ascii") + b"\n")
+        last = np.arange(mask.width) == mask.width - 1
+        cells = _P2_CELLS[last.view(np.uint8), mask.pixels.view(np.uint8)]
+        path.write_bytes(header.encode("ascii") + cells[cells != 0].tobytes())
     else:
+        values = np.where(mask.pixels, np.uint8(255), np.uint8(0))
         path.write_bytes(header.encode("ascii") + values.tobytes())
 
 

@@ -81,8 +81,9 @@ class FeatureVector:
                 f"{self.mode.value} feature vector needs {self.mode.length} entries, "
                 f"got {len(values)}"
             )
-        if any(v < 0 for v in values):
-            raise ValueError(f"feature counts must be >= 0, got {values}")
+        # Counts stay below 2**53, where float64 (the grader's input) is exact.
+        if any(not 0 <= v < 2**53 for v in values):
+            raise ValueError(f"feature counts must be in 0..2**53-1, got {values}")
         object.__setattr__(self, "values", values)
 
 

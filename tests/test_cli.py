@@ -202,6 +202,41 @@ def test_train_config_rejects_mistyped_values(pipeline, tmp_path, capsys, config
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("count", ["9" * 400, "1" + "0" * 308], ids=["400-digits", "1e308"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_huge_feature_counts_are_rejected(pipeline, tmp_path, capsys, command, count):
+    # 400 digits overflowed float64 (exit 1); 1e308, 309 digits, was graded.
+    lines = (pipeline / "features.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = count
+    lines[1] = ",".join(cells)
+    features = tmp_path / "huge.csv"
+    features.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = (["train", "--features", str(features), "--out", str(out), "--max-epochs", "1"]
+            if command == "train" else
+            ["predict", "--model", str(pipeline / "model.json"), "--features", str(features),
+             "--out", str(out)])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "2**53" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deeply_nested_json_is_rejected(pipeline, tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(nested)
+    assert main(["predict", "--model", str(nested), "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert main(["train", "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "m.json"), "--config", str(nested)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not valid JSON") == 2 and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
+
+
 def test_failed_write_leaves_no_partial_file(pipeline, tmp_path, capsys):
     # predictions CSV with an id the truth does not know
     pred = tmp_path / "pred.csv"

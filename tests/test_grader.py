@@ -17,8 +17,10 @@ from retsym import (
     train,
 )
 from retsym.grader import (
+    DEFAULT_HIDDEN_DIMS,
     _fit_preprocess,
     _forward_batch,
+    _init_flat,
     _init_params,
     _mean_loss,
     _softmax,
@@ -313,6 +315,127 @@ def test_early_stopping_respects_patience(patience):
     meta = train(_noise_dataset(), config, hidden_dims=TINY_DIMS).training_meta
     assert meta["epochs_run"] < 50
     assert meta["epochs_run"] == meta["best_epoch"] + patience
+
+
+def _gradients_reference(params, n_trunk, x, y_dr, y_dme, dropout_prob, rng):
+    """Per-layer forward pass (one dropout draw per layer) and backward pass
+    into freshly allocated arrays, as training ran before it wrote into one
+    buffer."""
+    inputs, pre, masks = [], [], []
+    a = x
+    for k in range(n_trunk):
+        z = a @ params[2 * k] + params[2 * k + 1]
+        inputs.append(a)
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        mask = None
+        if dropout_prob > 0.0:
+            mask = (rng.random(a.shape) >= dropout_prob) / (1.0 - dropout_prob)
+            a = a * mask
+        masks.append(mask)
+    w_dr, b_dr, w_dme, b_dme = params[2 * n_trunk : 2 * n_trunk + 4]
+    n = len(y_dr)
+    g_dr = _softmax(a @ w_dr + b_dr)
+    g_dr[np.arange(n), y_dr] -= 1.0
+    g_dr /= n
+    g_dme = _softmax(a @ w_dme + b_dme)
+    g_dme[np.arange(n), y_dme] -= 1.0
+    g_dme /= n
+    heads = [a.T @ g_dr, g_dr.sum(axis=0), a.T @ g_dme, g_dme.sum(axis=0)]
+    d_a = g_dr @ w_dr.T + g_dme @ w_dme.T
+    trunk = []
+    for k in range(n_trunk - 1, -1, -1):
+        if masks[k] is not None:
+            d_a = d_a * masks[k]
+        d_z = d_a * (pre[k] > 0.0)
+        trunk[:0] = [inputs[k].T @ d_z, d_z.sum(axis=0)]
+        d_a = d_z @ params[2 * k].T
+    return trunk + heads
+
+
+def _train_reference(dataset, config, hidden_dims):
+    """``train`` as an allocate-per-step loop: a new gradient vector by
+    concatenation and Adam as one vector expression.  Returns the best
+    parameters and the training_meta."""
+    raw = np.array([fv.values for fv, _ in dataset], dtype=np.float64)
+    y_dr_all = np.array([label.dr for _, label in dataset], dtype=np.intp)
+    y_dme_all = np.array([label.dme for _, label in dataset], dtype=np.intp)
+    rng = np.random.default_rng(config.seed)
+    n = len(dataset)
+    n_val = min(max(1, round(n * config.validation_fraction)), n - 1)
+    perm = rng.permutation(n)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    shift, scale = _fit_preprocess(raw[train_idx])
+    x_all = _standardize(raw, shift, scale)
+    x_train, y_dr_train, y_dme_train = x_all[train_idx], y_dr_all[train_idx], y_dme_all[train_idx]
+    x_val, y_dr_val, y_dme_val = x_all[val_idx], y_dr_all[val_idx], y_dme_all[val_idx]
+
+    trunk_dims = (dataset[0][0].mode.length, *hidden_dims)
+    n_trunk = len(trunk_dims) - 1
+    flat = _init_flat(rng, trunk_dims)
+    params = _views(flat, trunk_dims)
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
+    step = 0
+    best_val, best_flat, best_epoch, epochs_since_best, epochs_run = np.inf, flat.copy(), 0, 0, 0
+    n_train = len(train_idx)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = _gradients_reference(params, n_trunk, x_train[batch], y_dr_train[batch],
+                                         y_dme_train[batch], config.dropout_prob, rng)
+            g = np.concatenate(grads, axis=None)
+            step += 1
+            adam_m = 0.9 * adam_m + (1.0 - 0.9) * g
+            adam_v = 0.999 * adam_v + (1.0 - 0.999) * g * g
+            m_hat = adam_m / (1.0 - 0.9**step)
+            v_hat = adam_v / (1.0 - 0.999**step)
+            flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        dr_p, dme_p, _ = _forward_batch(params, n_trunk, x_val)
+        val_loss = _mean_loss(dr_p, dme_p, y_dr_val, y_dme_val)
+        epochs_run = epoch
+        if val_loss < best_val:
+            best_val, best_flat, best_epoch, epochs_since_best = val_loss, flat.copy(), epoch, 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= config.patience:
+                break
+    meta = {"epochs_run": epochs_run, "best_epoch": best_epoch, "best_val_loss": best_val,
+            "train_size": int(n_train), "val_size": int(n_val), "config": config.to_dict()}
+    return best_flat, meta
+
+
+@pytest.mark.parametrize(
+    "hidden_dims,batch_size,patience",
+    [(TINY_DIMS, 10, 2), (DEFAULT_HIDDEN_DIMS, 7, 1)],
+)
+def test_train_matches_allocating_reference(hidden_dims, batch_size, patience):
+    # 60 rows: 48 train, so neither batch size divides it; random labels make
+    # early stopping fire.
+    data = _noise_dataset()
+    config = TrainConfig(max_epochs=40, batch_size=batch_size, patience=patience,
+                         dropout_prob=0.1)
+    model = train(data, config, hidden_dims=hidden_dims)
+    want_params, want_meta = _train_reference(data, config, hidden_dims)
+    assert model.training_meta["train_size"] % batch_size != 0
+    assert model.training_meta["epochs_run"] < config.max_epochs
+    assert np.array_equal(model.params, want_params)
+    assert model.training_meta == want_meta
+
+
+def test_loss_and_gradients_writes_into_out():
+    rng = np.random.default_rng(5)
+    dims = (4, 6, 5)
+    params = _init_params(rng, dims)
+    x = rng.normal(size=(3, 4))
+    y_dr, y_dme = rng.integers(0, 5, size=3), rng.integers(0, 3, size=3)
+    fresh = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1))
+    buffer = np.full(sum(p.size for p in params), np.nan)
+    out = _views(buffer, dims)
+    into = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1), out=out)
+    assert into[0] == fresh[0] and into[1] is out
+    assert np.array_equal(buffer, np.concatenate(fresh[1], axis=None))
 
 
 def test_train_input_validation():
