@@ -118,6 +118,8 @@ class GraderModel:
 
     def __post_init__(self) -> None:
         self.trunk_dims = _integers(self.trunk_dims, "trunk_dims")
+        if self.seed is not None:
+            (self.seed,) = _integers([self.seed], "seed")
         dims = self.trunk_dims
         _check_dims(dims, self.feature_mode)
         n_params = _n_params(dims)

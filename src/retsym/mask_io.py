@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -322,8 +323,11 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
         cells = _P2_CELLS[last.view(np.uint8), mask.pixels.view(np.uint8)]
         path.write_bytes(header.encode("ascii") + cells[cells != 0].tobytes())
     else:
-        values = np.where(mask.pixels, np.uint8(255), np.uint8(0))
-        path.write_bytes(header.encode("ascii") + values.tobytes())
+        # A bool is one byte holding 0 or 1, so this is 0 or 255 per pixel.
+        values = mask.pixels.view(np.uint8) * np.uint8(255)
+        with path.open("wb") as fh:
+            fh.write(header.encode("ascii"))
+            fh.write(values)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +349,18 @@ def _parse_grade(cell: str, valid: range, column: str, line: int, path: Path) ->
     return grade
 
 
+@contextmanager
+def csv_errors_as(error: type[ValueError], reader: Any, path: Path) -> Iterator[Any]:
+    """Yield ``reader``; a ``csv.Error`` in the block, such as a field over
+    ``csv.field_size_limit()``, is raised as ``error`` naming path and line."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        # A DictReader copies line_num from its csv.reader only once a row parses.
+        line = getattr(reader, "reader", reader).line_num
+        raise error(f"{path}: line {line}: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """Parse a manifest CSV into records, preserving row order.
 
@@ -358,8 +374,9 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     base = path.parent
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
+        ManifestError, csv.DictReader(fh), path
+    ) as reader:
         header = reader.fieldnames or []
         missing = [c for c in MANIFEST_COLUMNS if c not in header]
         if missing:

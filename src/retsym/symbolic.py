@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, LesionClass
+from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, LesionClass, csv_errors_as
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -157,8 +157,9 @@ def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
     path = Path(path)
     if not path.is_file():
         raise FeaturesCsvError(f"{path}: features file does not exist")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
+        FeaturesCsvError, csv.reader(fh), path
+    ) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -20,6 +20,7 @@ the synthetic pipeline a five-class and three-class oracle.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,9 +171,6 @@ class ImagePlan:
 # Shape sampling
 
 
-_DISC_COUNTS: list[tuple[int, int]] = []  # (radius, pixel count), radius ascending
-
-
 def _disc_count(radius: int) -> int:
     count = 0
     rr = radius * radius
@@ -181,15 +179,22 @@ def _disc_count(radius: int) -> int:
     return count
 
 
-def _disc_table() -> list[tuple[int, int]]:
-    if not _DISC_COUNTS:
-        _DISC_COUNTS.extend((r, _disc_count(r)) for r in range(1, 81))
-    return _DISC_COUNTS
+_DISC_COUNTS = tuple((r, _disc_count(r)) for r in range(1, 81))  # (radius, pixel count)
 
 
+@functools.cache
+def _disc_candidates(lo: int, hi: int, max_side: int) -> tuple[tuple[int, int], ...]:
+    """The (radius, pixel count) discs with lo < count <= hi that fit ``max_side``."""
+    return tuple((r, n) for r, n in _DISC_COUNTS if lo < n <= hi and 2 * r + 1 <= max_side)
+
+
+@functools.cache
 def _disc_template(radius: int) -> np.ndarray:
+    """The disc's pixels in its bounding square; read-only, as every caller shares it."""
     axis = np.arange(-radius, radius + 1)
-    return (axis[:, np.newaxis] ** 2 + axis[np.newaxis, :] ** 2) <= radius * radius
+    template = (axis[:, np.newaxis] ** 2 + axis[np.newaxis, :] ** 2) <= radius * radius
+    template.flags.writeable = False
+    return template
 
 
 @dataclass(frozen=True)
@@ -204,15 +209,17 @@ class _ShapeDraft:
 def _sample_shape(
     rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
 ) -> _ShapeDraft:
-    """Draw a rectangle or disc with pixel count inside ``size_range``."""
+    """Draw a rectangle or disc with pixel count inside ``size_range``.
+
+    The draws from ``rng`` and their order fix the generated files' bytes.
+    """
     lo, hi = size_range[0] - 1, size_range[1]  # sizes s satisfy lo < s <= hi
-    disc_radii = [
-        r for r, n in _disc_table() if lo < n <= hi and 2 * r + 1 <= min(max_h, max_w)
-    ]
-    if disc_radii and rng.random() < 0.3:
-        radius = int(rng.choice(disc_radii))
+    discs = _disc_candidates(lo, hi, min(max_h, max_w))
+    if discs and rng.random() < 0.3:
+        # Indexing by integers(0, n) draws what rng.choice(discs) would.
+        radius, count = discs[int(rng.integers(0, len(discs)))]
         side = 2 * radius + 1
-        return _ShapeDraft("disc", side, side, _disc_count(radius), radius)
+        return _ShapeDraft("disc", side, side, count, radius)
 
     hh_min = max(1, -((lo + 1) // -max_w))  # ceil((lo + 1) / max_w)
     hh_max = min(max_h, math.isqrt(hi))
@@ -400,8 +407,8 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
             for cls in LESION_ORDER:
                 rel = f"masks/{plan.image_id}_{cls.name}.pgm"
                 mask_path = out_dir / rel
+                written.append(mask_path)  # before writing: a failed write leaves a partial file
                 save_mask(rasterize(plan, spec, cls), mask_path)
-                written.append(mask_path)
                 row[cls.manifest_column] = rel
             row["dr_grade"] = str(plan.label.dr)
             row["dme_grade"] = str(plan.label.dme)
@@ -414,11 +421,11 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
                 )
             )
         manifest_path = out_dir / "manifest.csv"
-        write_manifest(manifest_path, manifest_rows)
         written.append(manifest_path)
+        write_manifest(manifest_path, manifest_rows)
         truth_path = out_dir / "ground_truth.csv"
-        truth_path.write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
         written.append(truth_path)
+        truth_path.write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
         return manifest_path
     except BaseException:
         for path in written:

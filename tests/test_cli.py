@@ -164,11 +164,16 @@ def test_nan_weight_model_is_rejected(pipeline, tmp_path, capsys):
         ("trunk_dims", 1, True),
         ("thresholds", 0, 10.7),
         ("thresholds", 0, "10"),
+        ("seed", None, float("nan")),
+        ("seed", None, 8.5),
     ],
 )
 def test_non_integral_model_dimensions_are_rejected(pipeline, tmp_path, capsys, key, index, value):
     doc = json.loads((pipeline / "model.json").read_text())
-    doc[key][index] = value
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
     bad_model = tmp_path / "bad.json"
     bad_model.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="must be integers"):
@@ -220,6 +225,33 @@ def test_huge_feature_counts_are_rejected(pipeline, tmp_path, capsys, command, c
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "2**53" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "train", "predict", "explain"])
+def test_oversized_csv_field_is_rejected(pipeline, tmp_path, capsys, command):
+    # The csv module refuses a field over 131,072 characters with csv.Error,
+    # which is no ValueError: the CLI exited 1 with a traceback.
+    source = (pipeline / "data" / "manifest.csv" if command in ("extract", "evaluate")
+              else pipeline / "features.csv")
+    lines = source.read_text().splitlines()
+    lines[1] = "x" * 200_000 + lines[1][lines[1].index(","):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = {
+        "extract": ["extract", "--manifest", str(bad), "--out", str(out)],
+        "evaluate": ["evaluate", "--truth", str(bad), "--pred", str(pipeline / "pred.csv"),
+                     "--out", str(out)],
+        "train": ["train", "--features", str(bad), "--out", str(out), "--max-epochs", "1"],
+        "predict": ["predict", "--model", str(pipeline / "model.json"), "--features", str(bad),
+                    "--out", str(out)],
+        "explain": ["explain", "--model", str(pipeline / "model.json"), "--features", str(bad),
+                    "--out", str(out)],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2: field larger than field limit" in err and "Traceback" not in err
     assert not out.exists()
 
 

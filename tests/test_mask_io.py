@@ -59,6 +59,14 @@ def test_round_trip_binary_and_ascii(tmp_path):
             assert again == mask, f"trial {trial} ascii={ascii_format} did not round-trip"
 
 
+_MASK_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 60)),
+    st.tuples(st.integers(1, 60), st.just(1)),
+    st.tuples(st.integers(1, 60), st.integers(1, 60)),
+)
+
+
 def _save_p2_reference(mask):
     """The P2 bytes ``save_mask`` wrote one ``str()`` per sample: rows of
     space-separated 0/255, one row a line, a newline after the last."""
@@ -69,12 +77,7 @@ def _save_p2_reference(mask):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    shape=st.one_of(
-        st.just((1, 1)),
-        st.tuples(st.just(1), st.integers(1, 60)),
-        st.tuples(st.integers(1, 60), st.just(1)),
-        st.tuples(st.integers(1, 60), st.integers(1, 60)),
-    ),
+    shape=_MASK_SHAPES,
     density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -83,6 +86,25 @@ def test_p2_writer_matches_reference(tmp_path, shape, density, seed):
     path = tmp_path / "m.pgm"
     save_mask(mask, path, ascii_format=True)
     assert path.read_bytes() == _save_p2_reference(mask)
+
+
+def _save_p5_reference(mask):
+    """The P5 bytes ``save_mask`` wrote through ``np.where`` and one copy."""
+    values = np.where(mask.pixels, np.uint8(255), np.uint8(0))
+    return f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii") + values.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=_MASK_SHAPES,
+    density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_p5_writer_matches_reference(tmp_path, shape, density, seed):
+    mask = LesionMask(np.random.default_rng(seed).random(shape) < density, LesionClass.EX)
+    path = tmp_path / "m.pgm"
+    save_mask(mask, path)
+    assert path.read_bytes() == _save_p5_reference(mask)
 
 
 def test_foreground_count_equals_bright_samples(tmp_path):

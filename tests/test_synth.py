@@ -1,6 +1,16 @@
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import retsym
 from retsym import (
     GradePair,
     LabelRule,
@@ -18,7 +28,14 @@ from retsym import (
     simple_features,
 )
 from retsym.symbolic import LESION_ORDER
-from retsym.synth import GROUND_TRUTH_COLUMNS, rasterize
+from retsym.synth import (
+    GROUND_TRUTH_COLUMNS,
+    _disc_count,
+    _disc_template,
+    _sample_shape,
+    _ShapeDraft,
+    rasterize,
+)
 
 
 def _buckets(ma=(0, 0, 0), he=(0, 0, 0), se=(0, 0, 0), ex=(0, 0, 0)):
@@ -188,6 +205,60 @@ def test_rasterized_sizes_match_plan():
             assert extracted == sorted(plan.planted_sizes(cls))
 
 
+def _sample_shape_reference(rng, size_range, max_h, max_w):
+    """``_sample_shape`` as a scan of the whole disc table and ``rng.choice``."""
+    lo, hi = size_range[0] - 1, size_range[1]
+    disc_radii = [
+        r for r in range(1, 81)
+        if lo < _disc_count(r) <= hi and 2 * r + 1 <= min(max_h, max_w)
+    ]
+    if disc_radii and rng.random() < 0.3:
+        radius = int(rng.choice(disc_radii))
+        side = 2 * radius + 1
+        return _ShapeDraft("disc", side, side, _disc_count(radius), radius)
+    hh_min = max(1, -((lo + 1) // -max_w))
+    hh_max = min(max_h, math.isqrt(hi))
+    if hh_min > hh_max:
+        raise PackingError("no rectangle fits")
+    hh = int(rng.integers(hh_min, hh_max + 1))
+    ww = int(rng.integers(lo // hh + 1, min(hi // hh, max_w) + 1))
+    return _ShapeDraft("rect", hh, ww, hh * ww)
+
+
+def _draw(sample, seed, size_range, max_h, max_w, n):
+    """n shapes (or the error type raised) from one generator, then its next
+    random(): what the sampler drew and how far it moved the stream.  Some
+    narrow size ranges make numpy raise ValueError ("low >= high")."""
+    rng = np.random.default_rng(seed)
+    drafts = []
+    for _ in range(n):
+        try:
+            drafts.append(sample(rng, size_range, max_h, max_w))
+        except (PackingError, ValueError) as exc:
+            drafts.append(type(exc))
+    return drafts, rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bounds=st.tuples(st.integers(1, 10_000), st.integers(1, 10_000)).map(sorted),
+    max_h=st.integers(8, 1024),
+    max_w=st.integers(8, 1024),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_shape_matches_reference(bounds, max_h, max_w, seed):
+    args = (seed, tuple(bounds), max_h, max_w, 8)
+    assert _draw(_sample_shape, *args) == _draw(_sample_shape_reference, *args)
+
+
+def test_disc_template_is_shared_and_read_only():
+    template = _disc_template(4)
+    assert template is _disc_template(4)
+    assert int(template.sum()) == _disc_count(4)
+    with pytest.raises(ValueError, match="read-only"):
+        template[0, 0] = True
+
+
 def test_packing_failure_names_image_and_class():
     spec = SynthSpec(
         n_images=5, width=40, height=40, seed=0,
@@ -271,6 +342,52 @@ def test_generate_cleans_up_after_failure(tmp_path):
     out = tmp_path / "broken"
     with pytest.raises(PackingError):
         generate(spec, out)
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+# The tree's bytes follow from the spec through the order of the random
+# draws; a change that alters them must say why.  The sha256 is over the
+# files' contents in sorted path order, as in
+# `find . -type f | LC_ALL=C sort | xargs cat | sha256sum`.
+PINNED_TREE = (
+    SynthSpec(n_images=20, width=160, height=160, seed=5),
+    82,
+    "8ea416014222095ab2dccc0e073137eebbbe03089c353c40b15f15535b6bc79c",
+)
+
+
+def test_generated_tree_bytes_are_pinned(tmp_path):
+    spec, n_files, sha256 = PINNED_TREE
+    generate(spec, tmp_path)
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) == n_files
+    digest = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files))
+    assert digest.hexdigest() == sha256
+
+
+_GENERATE_UNDER_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from retsym import SynthSpec, generate
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write with EFBIG instead
+resource.setrlimit(resource.RLIMIT_FSIZE, (30000, 30000))
+try:
+    generate(SynthSpec(n_images=2, width=256, height=256, seed=1), sys.argv[1])
+except OSError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_generate_removes_a_partly_written_mask(tmp_path):
+    # Each 256x256 mask is 65,551 bytes, so the first write stops at 30,000.
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(retsym.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GENERATE_UNDER_FILE_SIZE_LIMIT, str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "File too large" in proc.stdout
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
