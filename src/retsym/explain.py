@@ -35,8 +35,10 @@ _EXTENDED_RE = re.compile(
     rf"^The image (?P<id>.*?) is classified as (?P<grade>{_GRADE_ALTERNATION}) "
     rf"because (?P<body>.+)\.$"
 )
-_SIMPLE_CLAUSE_RE = re.compile(r"^(\d+) (MA|HE|SE|EX)$")
-_EXTENDED_CLAUSE_RE = re.compile(r"^(\d+) (small|medium|large) (MA|HE|SE|EX)(s?)$")
+# A count is ASCII digits, at most 16 of them: feature counts are below 2**53.
+_COUNT = r"([0-9]{1,16})"
+_SIMPLE_CLAUSE_RE = re.compile(rf"^{_COUNT} (MA|HE|SE|EX)$")
+_EXTENDED_CLAUSE_RE = re.compile(rf"^{_COUNT} (small|medium|large) (MA|HE|SE|EX)(s?)$")
 
 
 class ExplanationParseError(ValueError):
@@ -183,7 +185,10 @@ def parse(rendered: str) -> tuple[str, str, FeatureVector]:
                 raise ExplanationParseError(f"duplicate clause for {clause!r}")
             values[index] = count
 
-    vector = FeatureVector(mode=mode, values=tuple(values))
+    try:
+        vector = FeatureVector(mode=mode, values=tuple(values))
+    except ValueError as exc:  # a count of 2**53 or more
+        raise ExplanationParseError(f"bad feature counts: {exc}") from None
     canonical = (
         _simple_sentence(image_id, grade_text, vector.values)
         if mode is FeatureMode.SIMPLE

@@ -14,6 +14,7 @@ always produces the same model, byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -316,9 +317,13 @@ def _adam_step(
     s1 *= g
     v *= ADAM_BETA2
     v += s1
-    np.divide(m, 1.0 - ADAM_BETA1**step, out=s1)  # m_hat
+    bias1 = 1.0 - ADAM_BETA1**step
+    if bias1 == 1.0:  # from step 356 on; m / 1.0 == m bit for bit
+        np.multiply(m, lr, out=s1)
+    else:
+        np.divide(m, bias1, out=s1)  # m_hat
+        s1 *= lr
     np.divide(v, 1.0 - ADAM_BETA2**step, out=s2)  # v_hat
-    s1 *= lr
     np.sqrt(s2, out=s2)
     s2 += ADAM_EPS
     s1 /= s2
@@ -496,7 +501,34 @@ def save_model(model: GraderModel, path: str | Path) -> None:
         "seed": model.seed,
         "training": model.training_meta,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
+
+
+def _json_text(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=1)``, in about a third of its time.
+
+    ``indent`` makes json use its pure-Python encoder.  Here a list of finite
+    floats is joined with ``float.__repr__``, json's own float format, and
+    everything else (keys, ints, ``None``, non-finite floats) goes through
+    ``json.dumps``.
+    """
+    inner = indent + " "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = [_json_text(x, inner) for x in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
 def _array(doc: object, section: str, key: str) -> np.ndarray:

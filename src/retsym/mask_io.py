@@ -197,21 +197,20 @@ def _read_pgm(path: Path) -> np.ndarray:
     if scanner.pos >= len(data) or data[scanner.pos] not in _PGM_SPACE:
         raise scanner.error("missing whitespace after maxval")
     scanner.pos += 1
-    payload = data[scanner.pos :]
-    if len(payload) < count:
+    found = len(data) - scanner.pos
+    if found < count:
         raise scanner.error(
-            f"truncated payload: expected {count} bytes, found {len(payload)}",
-            len(data),
+            f"truncated payload: expected {count} bytes, found {found}", len(data)
         )
-    if len(payload) > count:
+    if found > count:
         raise scanner.error(
-            f"unexpected trailing data: expected {count} payload bytes, found {len(payload)}",
+            f"unexpected trailing data: expected {count} payload bytes, found {found}",
             scanner.pos + count,
         )
-    flat = np.frombuffer(payload, dtype=np.uint8)
-    over = flat > maxval
-    if over.any():
-        bad = int(np.flatnonzero(over)[0])
+    flat = np.frombuffer(data, dtype=np.uint8, offset=scanner.pos)
+    over = np.flatnonzero(flat > maxval) if maxval < 255 else ()  # no uint8 exceeds 255
+    if len(over):
+        bad = int(over[0])
         raise scanner.error(
             f"sample value {int(flat[bad])} exceeds maxval {maxval}",
             len(data) - count + bad,

@@ -8,9 +8,13 @@ Foreground pixels are grouped under 8-connectivity by run-based labeling
    changes value (a boolean ``np.diff``), with a background column padded
    onto each row so no run crosses a row end.
 2. The runs in the row above that touch a run form one contiguous range of
-   the raster-ordered run list; two ``np.searchsorted`` calls find it.
-3. Only when some run touches the row above are runs merged, by a
-   union-find over the linked runs that keeps the earliest run as the root.
+   the raster-ordered run list.  One ``np.searchsorted`` over all runs finds
+   where it starts, and whether it is empty; a second, over the linked runs
+   only, finds where it ends.
+3. Only when some run touches the row above are runs merged, keeping the
+   earliest run as the root: by hook-and-shortcut in numpy, or below
+   ``_NUMPY_MERGE_MIN_LINKS`` linked runs by a dict union-find, which is
+   faster there.
 
 Regions are numbered by their first run in raster order, which is the order
 of their seed pixels, so identical masks always produce identical region
@@ -95,18 +99,16 @@ class RegionSet:
         )
 
 
-def _merge_linked_runs(
+def _union_find(
     n_runs: int, linked: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Region number of every run, given that run ``k`` in ``linked`` touches
-    runs ``lo[k]`` to ``hi[k] - 1`` above it.
+    """:func:`_merge_linked_runs` as a dict union-find with path halving.
 
-    Union-find with path halving, over the linked runs only: ``parent`` holds
-    the runs that are no longer roots.  A root is always the smallest run
-    index of its region, so ``parent[x] < x``.
+    ``parent`` holds the runs that are no longer roots.  A root is always
+    the smallest run index of its region, so ``parent[x] < x``.
     """
     parent: dict[int, int] = {}
-    for k, a, b in zip(linked.tolist(), lo[linked].tolist(), hi[linked].tolist()):
+    for k, a, b in zip(linked.tolist(), lo.tolist(), hi.tolist()):
         root = k  # runs are visited in raster order, so k is still a root
         for j in range(a, b):
             while j in parent:
@@ -130,6 +132,63 @@ def _merge_linked_runs(
     return region
 
 
+def _hook_and_shortcut(
+    n_runs: int, linked: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """:func:`_merge_linked_runs` as hook-and-shortcut connectivity in numpy
+    (Shiloach & Vishkin, J. Algorithms 1982).
+
+    Each linked run first points at the earliest run it touches.  Every
+    further link, from a run touching two or more above, joins the two
+    runs' roots: shortcutting (``parent = parent[parent]``) brings every run
+    to its root, and hooking points the larger of two differing roots at
+    the smaller, until every link joins one root.  As ``parent[x] <= x``
+    throughout, a region's root is its smallest run.
+    """
+    index = np.arange(n_runs)
+    parent = index.copy()
+    parent[linked] = lo
+    extra = hi - lo - 1  # links beyond the first of each run
+    many = extra.nonzero()[0]
+    if len(many):
+        # Run ks[i] touches run js[i] above: lo + 1 .. hi - 1 for each run in many.
+        counts = extra[many]
+        ends = counts.cumsum()
+        ks = np.repeat(linked[many], counts)
+        js = np.arange(ends[-1]) + np.repeat(lo[many] + 1 - (ends - counts), counts)
+    while True:
+        up = parent[parent]
+        while (up != parent).any():
+            parent, up = up, up[up]
+        if not len(many):
+            break
+        a, b = parent[ks], parent[js]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+    # A root's region number is the count of roots before it.
+    return (parent == index).cumsum()[parent] - 1
+
+
+# Below this many linked runs the dict union-find beats the numpy merge,
+# whose fixed cost is about twenty numpy calls; measured crossover: see README.
+_NUMPY_MERGE_MIN_LINKS = 48
+
+
+def _merge_linked_runs(
+    n_runs: int, linked: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Region number of every run, given that run ``linked[i]`` touches runs
+    ``lo[i]`` to ``hi[i] - 1`` above it.
+
+    Regions are numbered in the order of their first run.
+    """
+    merge = _union_find if len(linked) < _NUMPY_MERGE_MIN_LINKS else _hook_and_shortcut
+    return merge(n_runs, linked, lo, hi)
+
+
 def extract_regions(mask: LesionMask) -> RegionSet:
     """Partition a mask's foreground into 8-connected regions.
 
@@ -138,11 +197,12 @@ def extract_regions(mask: LesionMask) -> RegionSet:
     """
     height, width = mask.pixels.shape
     stride = width + 1
-    # A background pixel before the mask and one after each row, so every run
-    # starts and stops inside its own row.
-    padded = np.zeros(height * stride + 1, dtype=bool)
-    padded[1:].reshape(height, stride)[:, :width] = mask.pixels
-    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    # A background pixel before each row and a background row after the
+    # mask, so every run starts and stops inside its own row.
+    padded = np.zeros((height + 1, stride), dtype=bool)
+    padded[:height, 1:] = mask.pixels
+    flat = padded.ravel()
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
     # Flat positions (row * stride + column) of each run's first pixel and
     # of the pixel just past its last.
     starts, stops = edges[0::2], edges[1::2]
@@ -151,12 +211,14 @@ def extract_regions(mask: LesionMask) -> RegionSet:
     # A run [p0, p1] in the row above touches [c0, c1] iff p0 <= c1 + 1 and
     # p1 >= c0 - 1.  With the run shifted up one row, the runs that do are
     # lo..hi-1 in raster order; the pad column keeps other rows out of it.
+    # lo <= k for run k itself, and k is linked iff run lo starts in reach.
     above = edges - stride
     lo = stops.searchsorted(above[0::2])
-    hi = starts.searchsorted(above[1::2], side="right")
-    linked = (hi > lo).nonzero()[0]
+    reach = above[1::2]
+    linked = (starts[lo] <= reach).nonzero()[0]
     if len(linked):
-        region = _merge_linked_runs(len(starts), linked, lo, hi)
+        hi = starts.searchsorted(reach[linked], side="right")
+        region = _merge_linked_runs(len(starts), linked, lo[linked], hi)
         sizes = np.bincount(region, weights=lengths).astype(np.int64)
     else:
         region, sizes = np.arange(len(starts)), lengths

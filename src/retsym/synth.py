@@ -231,8 +231,35 @@ def _sample_shape(
     hh = int(rng.integers(hh_min, hh_max + 1))
     ww_min = lo // hh + 1
     ww_max = min(hi // hh, max_w)
+    if ww_min > ww_max:  # a narrow size range; _draw_shape draws again
+        raise ValueError(f"no {hh}-row rectangle has {size_range[0]}..{hi} px")
     ww = int(rng.integers(ww_min, ww_max + 1))
     return _ShapeDraft("rect", hh, ww, hh * ww)
+
+
+def _fits_some_shape(size_range: tuple[int, int], max_h: int, max_w: int) -> bool:
+    """Whether a disc or rectangle of ``size_range`` pixels fits the canvas."""
+    lo, hi = size_range[0] - 1, size_range[1]
+    return bool(_disc_candidates(lo, hi, min(max_h, max_w))) or any(
+        lo // hh < min(hi // hh, max_w) for hh in range(1, min(max_h, math.isqrt(hi)) + 1)
+    )
+
+
+def _draw_shape(
+    rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
+) -> _ShapeDraft:
+    """:func:`_sample_shape`, drawn again while the rectangle height it draws
+    leaves no width (its only ``ValueError``).  A draw that succeeds the first
+    time is kept, so every range that never fails draws what it always did."""
+    while True:
+        try:
+            return _sample_shape(rng, size_range, max_h, max_w)
+        except ValueError:
+            if not _fits_some_shape(size_range, max_h, max_w):
+                raise PackingError(
+                    f"no shape of {size_range[0]}..{size_range[1]} px fits a "
+                    f"{max_h}x{max_w} canvas"
+                ) from None
 
 
 def _pack_shelves(
@@ -270,7 +297,7 @@ def _plan_class_shapes(
         for bucket, count in (*enumerate(bucket_counts), (3, noise_count)):
             for _ in range(count):
                 drafts.append(
-                    _sample_shape(rng, spec.size_range(bucket), spec.height, spec.width)
+                    _draw_shape(rng, spec.size_range(bucket), spec.height, spec.width)
                 )
         placed = _pack_shelves(drafts, spec.width, spec.height)
         if placed is not None:

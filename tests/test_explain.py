@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retsym import (
     ExplanationParseError,
@@ -165,3 +167,41 @@ def test_parse_mixed_templates_rejected():
         parse('The DR diagnosis of "a" is "PDR" because 3 small MAs are detected.')
     with pytest.raises(ExplanationParseError):
         parse("The image a is classified as PDR because there are 3 MA regions, respectively.")
+
+
+# Count text that no renderer writes: at and past the 2**53 limit of a
+# feature count, past int()'s 4,300-digit limit, and other scripts' digits.
+_HOSTILE_COUNTS = st.one_of(
+    st.integers(2**53 - 2, 2**70).map(str),
+    st.integers(17, 6000).map(lambda n: "9" * n),
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=20),
+)
+
+
+@st.composite
+def _hostile_sentences(draw):
+    mode = draw(st.sampled_from(FeatureMode))
+    clauses = []
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(_HOSTILE_COUNTS | st.integers(1, 300).map(str))
+        lesion = draw(st.sampled_from(("MA", "HE", "SE", "EX")))
+        if mode is FeatureMode.SIMPLE:
+            clauses.append(f"{count} {lesion}")
+        else:
+            size = draw(st.sampled_from(("small", "medium", "large")))
+            clauses.append(f"{count} {size} {lesion}{'' if count == '1' else 's'}")
+    if draw(st.booleans()):  # the same clause twice
+        clauses.insert(draw(st.integers(0, len(clauses))), draw(st.sampled_from(clauses)))
+    body = ", ".join(clauses[:-1]) + " and " + clauses[-1] if len(clauses) > 1 else clauses[0]
+    if mode is FeatureMode.SIMPLE:
+        return f'The DR diagnosis of "a" is "no DR" because there are {body} regions, respectively.'
+    return f"The image a is classified as no DR because {body} are detected."
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence=_hostile_sentences())
+def test_parse_raises_only_its_own_error(sentence):
+    try:
+        parse(sentence)
+    except ExplanationParseError:
+        pass

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retsym import (
     FeatureMode,
@@ -18,10 +20,12 @@ from retsym import (
 )
 from retsym.grader import (
     DEFAULT_HIDDEN_DIMS,
+    _adam_step,
     _fit_preprocess,
     _forward_batch,
     _init_flat,
     _init_params,
+    _json_text,
     _mean_loss,
     _softmax,
     _standardize,
@@ -424,6 +428,23 @@ def test_train_matches_allocating_reference(hidden_dims, batch_size, patience):
     assert model.training_meta == want_meta
 
 
+@pytest.mark.parametrize("step", [1, 355, 356, 4800])
+def test_adam_step_matches_textbook_update(step):
+    # From step 356 on, 1 - 0.9**step is exactly 1.0 and m_hat is m itself.
+    assert (1.0 - 0.9**step == 1.0) == (step >= 356)
+    rng = np.random.default_rng(step)
+    flat, g, m = (rng.normal(size=500) for _ in range(3))
+    v, lr = rng.random(500), 3e-3
+    want_m = 0.9 * m + (1.0 - 0.9) * g
+    want_v = 0.999 * v + (1.0 - 0.999) * g * g
+    m_hat = want_m / (1.0 - 0.9**step)
+    v_hat = want_v / (1.0 - 0.999**step)
+    want_flat = flat - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    _adam_step(flat, g, m, v, np.empty(500), np.empty(500), step, lr)
+    assert np.array_equal(flat, want_flat)
+    assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
+
+
 def test_loss_and_gradients_writes_into_out():
     rng = np.random.default_rng(5)
     dims = (4, 6, 5)
@@ -548,6 +569,31 @@ def test_model_rejects_non_finite_values(field, bad):
     with pytest.raises(ModelFormatError, match=f"{field} holds a non-finite value"):
         GraderModel(feature_mode=model.feature_mode, thresholds=model.thresholds,
                     trunk_dims=model.trunk_dims, **fields)
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.integers() | st.booleans(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(training=_JSON_VALUES)
+def test_json_text_matches_json_dumps(training):
+    doc = {"weights": [[0.5, -0.0, 1e-300], []], "bias": [1e300], "seed": None,
+           "training": training}
+    assert _json_text(doc) == json.dumps(doc, indent=1)
+
+
+def test_model_file_is_json_dumps_text(tmp_path):
+    model = train(_toy_dataset(n=40), TrainConfig(max_epochs=2), hidden_dims=TINY_DIMS)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
 def test_params_views_follow_the_json_sections(tmp_path):

@@ -167,6 +167,33 @@ def test_p2_maxval_error_names_the_sample_byte(tmp_path):
     assert str(exc.value) == f"{path}: sample value 255 exceeds maxval 25 (byte offset 12)"
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        # The payload starts at byte 9; the 10 is its third byte.
+        (b"P5\n2 2\n9\n" + bytes([0, 9, 10, 200]), "sample value 10 exceeds maxval 9 (byte offset 11)"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated payload: expected 4 bytes, found 3 (byte offset 14)"),
+        (b"P5\n2 2\n255\n" + bytes(6),
+         "unexpected trailing data: expected 4 payload bytes, found 6 (byte offset 15)"),
+    ],
+    ids=["over-maxval", "truncated", "trailing"],
+)
+def test_p5_payload_errors(tmp_path, content, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MaskFormatError) as exc:
+        load_mask(path, LesionClass.MA)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_p5_payload_is_read_after_the_header(tmp_path):
+    path = tmp_path / "ok.pgm"
+    path.write_bytes(b"P5 3 1 255 " + bytes([255, 127, 128]))
+    assert _read_pgm(path).tolist() == [[255, 127, 128]]
+    path.write_bytes(b"P5\n3 1\n200\n" + bytes([200, 0, 199]))
+    assert _read_pgm(path).tolist() == [[200, 0, 199]]
+
+
 def _scan_p2_reference(path):
     """Read a P2 file one token at a time with ``_PgmScanner``.
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retsym import LesionClass, LesionMask, Region, extract_regions
+from retsym.regions import (
+    _NUMPY_MERGE_MIN_LINKS,
+    _hook_and_shortcut,
+    _merge_linked_runs,
+    _union_find,
+)
 
 from conftest import mask_from_ascii
 from oracles import flood_fill_components, flood_fill_sizes
@@ -181,6 +189,52 @@ def test_large_masks_match_flood_fill_oracle(pixels):
     want = _oracle_regions(pixels)
     assert [(r.size, r.bbox, r.seed_pixel) for r in rs.regions] == want
     assert rs.sizes() == [region[0] for region in want]
+
+
+def _links_reference(pixels):
+    """What ``extract_regions`` hands the merge, from two full-size searches:
+    the run count, the linked runs, and the first and one-past-last run each
+    of them touches in the row above."""
+    height, width = pixels.shape
+    stride = width + 1
+    padded = np.zeros(height * stride + 1, dtype=bool)
+    padded[1:].reshape(height, stride)[:, :width] = pixels
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    starts, stops = edges[0::2], edges[1::2]
+    lo = stops.searchsorted(starts - stride)
+    hi = starts.searchsorted(stops - stride, side="right")
+    linked = (hi > lo).nonzero()[0]
+    return len(starts), linked, lo[linked], hi[linked]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    height=st.integers(1, 96),
+    width=st.integers(1, 96),
+    density=st.floats(0.05, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_numpy_merge_matches_union_find(height, width, density, seed):
+    # From a few to a few thousand linked runs, on both sides of the cutoff.
+    pixels = np.random.default_rng(seed).random((height, width)) < density
+    n_runs, linked, lo, hi = _links_reference(pixels)
+    runs = extract_regions(_mask(pixels)).runs
+    if not len(linked):
+        assert runs[0].tolist() == list(range(n_runs))
+        return
+    want = _union_find(n_runs, linked, lo, hi)
+    assert np.array_equal(_hook_and_shortcut(n_runs, linked, lo, hi), want)
+    assert np.array_equal(_merge_linked_runs(n_runs, linked, lo, hi), want)
+    assert np.array_equal(runs[0], want)
+
+
+def test_oracle_masks_reach_both_merge_paths():
+    # A 4x4 mask has at most 6 linked runs, so the exhaustive 4x4 test checks
+    # the dict union-find; 64x64 masks like A1's fall on both sides.
+    assert _NUMPY_MERGE_MIN_LINKS > 6
+    rng = np.random.default_rng(0)
+    sparse, dense = (len(_links_reference(rng.random((64, 64)) < p)[1]) for p in (0.05, 0.5))
+    assert sparse < _NUMPY_MERGE_MIN_LINKS <= dense
 
 
 def test_serpentine_is_one_region():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -249,6 +250,23 @@ def _draw(sample, seed, size_range, max_h, max_w, n):
 def test_sample_shape_matches_reference(bounds, max_h, max_w, seed):
     args = (seed, tuple(bounds), max_h, max_w, 8)
     assert _draw(_sample_shape, *args) == _draw(_sample_shape_reference, *args)
+
+
+def test_narrow_size_range_draws_a_fitting_rectangle():
+    # A 5 px noise speck is a 1x5 rectangle or a radius-1 disc: a drawn
+    # rectangle height of 2 leaves no width.
+    spec = SynthSpec(
+        n_images=50, width=64, height=64, seed=0,
+        noise_size=(5, 5), noise_count=(2, 2), active_dr_grades=(0, 1),
+    )
+    plans = plan_dataset(dataclasses.replace(spec, n_images=17))
+    noise = [s for plan in plans for shapes in plan.shapes.values() for s in shapes if s.size == 5]
+    assert len(noise) == 2 * 4 * 17
+    assert {(s.kind, s.height, s.width) for s in noise} == {("rect", 1, 5), ("disc", 3, 3)}
+    # img_0017 asks for more MA regions than the canvas holds: the module's
+    # own error, not numpy's "low >= high".
+    with pytest.raises(PackingError, match="img_0017"):
+        plan_dataset(spec)
 
 
 def test_disc_template_is_shared_and_read_only():
