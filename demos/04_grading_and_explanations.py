@@ -23,7 +23,7 @@ from retsym import (
     generate,
     load_model,
     parse,
-    predict,
+    predict_batch,
     render,
     save_model,
     train,
@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as td:
 
     # 3. score the held-out images
     held_out = dataset[750:]
-    report = evaluate([y for _, y in held_out], [predict(model, fv) for fv, _ in held_out])
+    report = evaluate([y for _, y in held_out], predict_batch(model, [fv for fv, _ in held_out]))
     print()
     print(format_report(report, title="held-out 50 images"))
 
@@ -59,7 +59,7 @@ with tempfile.TemporaryDirectory() as td:
     # 5. every prediction can be explained in one sentence...
     image = images[750]
     fv = vectors[750]
-    pair = predict(model, fv)
+    (pair,) = predict_batch(model, [fv])
     explanation = render(image.image_id, fv, pair)
     print(f"\n{explanation.rendered}")
 

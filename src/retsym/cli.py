@@ -18,10 +18,12 @@ run does not leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -33,22 +35,20 @@ from .evaluation import (
     format_report,
     write_report_csv,
 )
-from .explain import ExplanationParseError, render
+from .explain import render
 from .grader import (
     DEFAULT_HIDDEN_DIMS,
     GradePair,
-    ModelFormatError,
     TrainConfig,
     load_model,
     predict_batch,
     save_model,
     train,
 )
-from .mask_io import MANIFEST_COLUMNS, ManifestError, MaskFormatError, load_manifest
+from .mask_io import MANIFEST_COLUMNS, csv_errors_as, load_manifest
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
-    FeaturesCsvError,
     FeatureVector,
     SizeThresholds,
     read_features_csv,
@@ -58,16 +58,9 @@ from .synth import LabelRule, PackingError, SynthSpec, generate
 
 PREDICTIONS_COLUMNS = ("image_id", "dr_pred", "dme_pred")
 
-_INPUT_ERRORS = (
-    MaskFormatError,
-    ManifestError,
-    FeaturesCsvError,
-    ModelFormatError,
-    ExplanationParseError,
-    PackingError,
-    ValueError,
-    OSError,
-)
+# Each module's own input error (MaskFormatError, ManifestError, FeaturesCsvError,
+# ModelFormatError, ExplanationParseError) is a ValueError; PackingError is not.
+_INPUT_ERRORS = (ValueError, OSError, PackingError)
 
 
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
@@ -81,27 +74,29 @@ def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
 
 
 def write_predictions_csv(path: str | Path, rows: Sequence[tuple[str, GradePair]]) -> None:
-    lines = [",".join(PREDICTIONS_COLUMNS)]
-    lines += [f"{image_id},{pair.dr},{pair.dme}" for image_id, pair in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PREDICTIONS_COLUMNS)
+        writer.writerows((image_id, pair.dr, pair.dme) for image_id, pair in rows)
 
 
 def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"{path}: predictions file does not exist")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(PREDICTIONS_COLUMNS):
-        raise ValueError(f"{path}: expected header {','.join(PREDICTIONS_COLUMNS)!r}")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{path}:{i}: expected 3 columns, got {len(cells)}")
-        try:
-            rows.append((cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
+    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
+        ValueError, csv.reader(fh), path
+    ) as reader:
+        if next(reader, None) != list(PREDICTIONS_COLUMNS):
+            raise ValueError(f"{path}: expected header {','.join(PREDICTIONS_COLUMNS)!r}")
+        for cells in reader:
+            if len(cells) != 3:
+                raise ValueError(f"{path}:{reader.line_num}: expected 3 columns, got {len(cells)}")
+            try:
+                rows.append((cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -132,28 +127,15 @@ def _parse_thresholds(text: str) -> SizeThresholds:
     return SizeThresholds(*values)
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _typed(key: str, value, kind: type):
+    """A config value as ``kind``: an int must be a JSON integer, a float any
+    JSON number; a bool or string is rejected rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"config {key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
-        dims = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"--hidden-dims needs integers, got {text!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"--hidden-dims must be positive, got {text!r}")
-    return dims
-
-
-def _integer(key: str, value) -> int:
-    """A config value that must be a JSON integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(key: str, value) -> float:
-    """A config value that must be a JSON number (not a bool or string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config {key} must be a number, got {value!r}")
-    return float(value)
+        return kind(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"config {key} is out of range, got {value!r}") from None
 
 
 def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
@@ -163,53 +145,57 @@ def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
         values = doc["thresholds"]
         if not (isinstance(values, list) and len(values) == 4):
             raise ValueError("config thresholds must be a list of 4 integers")
-        return SizeThresholds(*(_integer(f"thresholds[{i}]", v) for i, v in enumerate(values)))
+        return SizeThresholds(*(_typed(f"thresholds[{i}]", v, int) for i, v in enumerate(values)))
     return DEFAULT_THRESHOLDS
 
 
 def _train_config_from(args: argparse.Namespace, doc: dict) -> TrainConfig:
     """Defaults, overridden by --config JSON, overridden by explicit flags."""
-    base = TrainConfig()
-
-    def pick(flag_value, key: str, check):
-        if flag_value is not None:
-            return flag_value
-        if key in doc:
-            return check(key, doc[key])
-        return getattr(base, key)
-
-    return TrainConfig(
-        learning_rate=pick(args.lr, "learning_rate", _number),
-        batch_size=pick(args.batch_size, "batch_size", _integer),
-        dropout_prob=pick(args.dropout, "dropout_prob", _number),
-        max_epochs=pick(args.max_epochs, "max_epochs", _integer),
-        patience=pick(args.patience, "patience", _integer),
-        validation_fraction=pick(args.val_fraction, "validation_fraction", _number),
-        seed=pick(args.seed, "seed", _integer),
-    )
+    values = {}
+    for f in fields(TrainConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+        elif f.name in doc:
+            values[f.name] = _typed(f.name, doc[f.name], type(f.default))
+    return TrainConfig(**values)
 
 
 def _hidden_dims_from(args: argparse.Namespace, doc: dict) -> tuple[int, ...]:
-    if getattr(args, "hidden_dims", None) is not None:
-        return _parse_dims(args.hidden_dims)
+    text = getattr(args, "hidden_dims", None)
+    if text is not None:
+        try:
+            dims = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f"--hidden-dims needs integers, got {text!r}") from None
+        if not dims or any(d < 1 for d in dims):
+            raise ValueError(f"--hidden-dims must be positive, got {text!r}")
+        return dims
     if "hidden_dims" in doc:
         dims = doc["hidden_dims"]
         if not isinstance(dims, list):
             raise ValueError(f"config hidden_dims must be a list of integers, got {dims!r}")
-        return tuple(_integer(f"hidden_dims[{i}]", d) for i, d in enumerate(dims))
+        return tuple(_typed(f"hidden_dims[{i}]", d, int) for i, d in enumerate(dims))
     return DEFAULT_HIDDEN_DIMS
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="JSON", help="JSON file of option defaults; explicit flags win")
-    sub.add_argument("--lr", type=float, default=None, help="Adam learning rate (default: 0.01)")
-    sub.add_argument("--batch-size", type=int, default=None, help="minibatch size (default: 16)")
-    sub.add_argument("--dropout", type=float, default=None, help="dropout probability after each hidden layer (default: 0.1)")
-    sub.add_argument("--max-epochs", type=int, default=None, help="epoch cap (default: 20)")
-    sub.add_argument("--patience", type=int, default=None, help="early-stopping patience in epochs (default: 3)")
-    sub.add_argument("--val-fraction", type=float, default=None, help="fraction of training rows held out for validation (default: 0.2)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for the split, weight init, batching and dropout (default: 8)")
-    sub.add_argument("--hidden-dims", default=None, help="comma-separated trunk layer widths (default: 25,50,75,100,75,50,25,12)")
+    defaults = TrainConfig()
+    # One (flag, TrainConfig field, help) row per field; the default is read from TrainConfig.
+    for flag, name, text in (
+        ("--lr", "learning_rate", "Adam learning rate"),
+        ("--batch-size", "batch_size", "minibatch size"),
+        ("--dropout", "dropout_prob", "dropout probability after each hidden layer"),
+        ("--max-epochs", "max_epochs", "epoch cap"),
+        ("--patience", "patience", "early-stopping patience in epochs"),
+        ("--val-fraction", "validation_fraction", "fraction of training rows held out for validation"),
+        ("--seed", "seed", "seed for the split, weight init, batching and dropout"),
+    ):
+        default = getattr(defaults, name)
+        metavar = flag[2:].upper().replace("-", "_")
+        sub.add_argument(flag, type=type(default), dest=name, metavar=metavar, help=f"{text} (default: {default})")
+    dims = ",".join(map(str, DEFAULT_HIDDEN_DIMS))
+    sub.add_argument("--hidden-dims", default=None, help=f"comma-separated trunk layer widths (default: {dims})")
 
 
 def _add_thresholds_option(sub: argparse.ArgumentParser) -> None:
@@ -364,7 +350,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     hidden_dims = _hidden_dims_from(args, doc)
     test_fraction = args.test_fraction
     if test_fraction is None:
-        test_fraction = _number("test_fraction", doc.get("test_fraction", 0.2))
+        test_fraction = _typed("test_fraction", doc.get("test_fraction", 0.2), float)
     result = ablation(
         args.manifest,
         config,

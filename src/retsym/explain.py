@@ -26,19 +26,53 @@ NO_LESION_PHRASE = "no lesion regions are detected"
 _LESION_NAMES = tuple(cls.name for cls in LESION_ORDER)
 
 _GRADE_ALTERNATION = "|".join(re.escape(name) for name in DR_GRADE_NAMES)
-
-_SIMPLE_RE = re.compile(
-    rf'^The DR diagnosis of "(?P<id>.*)" is "(?P<grade>{_GRADE_ALTERNATION})" '
-    rf"because (?P<body>.+)\.$"
-)
-_EXTENDED_RE = re.compile(
-    rf"^The image (?P<id>.*?) is classified as (?P<grade>{_GRADE_ALTERNATION}) "
-    rf"because (?P<body>.+)\.$"
-)
+_LESION_ALTERNATION = "|".join(_LESION_NAMES)
 # A count is ASCII digits, at most 16 of them: feature counts are below 2**53.
-_COUNT = r"([0-9]{1,16})"
-_SIMPLE_CLAUSE_RE = re.compile(rf"^{_COUNT} (MA|HE|SE|EX)$")
-_EXTENDED_CLAUSE_RE = re.compile(rf"^{_COUNT} (small|medium|large) (MA|HE|SE|EX)(s?)$")
+_COUNT = r"(?P<n>[0-9]{1,16})"
+
+
+@dataclass(frozen=True)
+class _Template:
+    """One mode's sentence grammar: the text that renders it, the regexes that read it back."""
+
+    head: str  # str.format fields: image_id, grade
+    body: str  # str.format field: the joined clauses
+    clause: str  # str.format fields: n, size, lesion, s (the plural)
+    labels: tuple[tuple[Optional[str], str], ...]  # (size word, lesion) per feature
+    sentence_re: re.Pattern
+    clause_re: re.Pattern
+
+
+_TEMPLATES = {
+    # The DR diagnosis of "x" is "mild NPDR" because there are 20 MA, 5 HE,
+    # 1 SE and 3 EX regions, respectively.
+    FeatureMode.SIMPLE: _Template(
+        head='The DR diagnosis of "{image_id}" is "{grade}" because ',
+        body="there are {} regions, respectively",
+        clause="{n} {lesion}",
+        labels=tuple((None, lesion) for lesion in _LESION_NAMES),
+        sentence_re=re.compile(
+            rf'^The DR diagnosis of "(?P<id>.*)" is "(?P<grade>{_GRADE_ALTERNATION})" because '
+            rf"(?:{NO_LESION_PHRASE}|there are (?P<clauses>.+) regions, respectively)\.$"
+        ),
+        clause_re=re.compile(rf"^{_COUNT} (?P<lesion>{_LESION_ALTERNATION})$"),
+    ),
+    # The image 1 is classified as severe NPDR because 37 small MAs, 2 medium
+    # HEs and 3 large EXs are detected.
+    FeatureMode.EXTENDED: _Template(
+        head="The image {image_id} is classified as {grade} because ",
+        body="{} are detected",
+        clause="{n} {size} {lesion}{s}",
+        labels=tuple((size, lesion) for lesion in _LESION_NAMES for size in SIZE_WORDS),
+        sentence_re=re.compile(
+            rf"^The image (?P<id>.*?) is classified as (?P<grade>{_GRADE_ALTERNATION}) because "
+            rf"(?:{NO_LESION_PHRASE}|(?P<clauses>.+) are detected)\.$"
+        ),
+        clause_re=re.compile(
+            rf"^{_COUNT} (?P<size>{'|'.join(SIZE_WORDS)}) (?P<lesion>{_LESION_ALTERNATION})s?$"
+        ),
+    ),
+}
 
 
 class ExplanationParseError(ValueError):
@@ -59,141 +93,77 @@ def _join_clauses(parts: list[str]) -> str:
     return ", ".join(parts[:-1]) + " and " + parts[-1]
 
 
-def _simple_sentence(image_id: str, grade_text: str, values: tuple[int, ...]) -> str:
-    head = f'The DR diagnosis of "{image_id}" is "{grade_text}" because '
-    if not any(values):
-        return head + NO_LESION_PHRASE + "."
-    parts = [f"{n} {name}" for n, name in zip(values, _LESION_NAMES) if n]
-    return head + f"there are {_join_clauses(parts)} regions, respectively."
-
-
-def _extended_sentence(image_id: str, grade_text: str, values: tuple[int, ...]) -> str:
-    head = f"The image {image_id} is classified as {grade_text} because "
-    if not any(values):
-        return head + NO_LESION_PHRASE + "."
-    parts = []
-    for i, n in enumerate(values):
-        if n:
-            lesion = _LESION_NAMES[i // 3]
-            plural = "" if n == 1 else "s"
-            parts.append(f"{n} {SIZE_WORDS[i % 3]} {lesion}{plural}")
-    return head + f"{_join_clauses(parts)} are detected."
-
-
 def _clauses(features: FeatureVector) -> tuple[tuple[int, Optional[str], str], ...]:
-    out = []
-    for i, n in enumerate(features.values):
-        if not n:
-            continue
-        if features.mode is FeatureMode.SIMPLE:
-            out.append((n, None, _LESION_NAMES[i]))
-        else:
-            out.append((n, SIZE_WORDS[i % 3], _LESION_NAMES[i // 3]))
-    return tuple(out)
+    labels = _TEMPLATES[features.mode].labels
+    return tuple((n, *label) for n, label in zip(features.values, labels) if n)
 
 
-def render_simple(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
-    """Sentence in the style: The DR diagnosis of "x" is "mild NPDR" because
-    there are 20 MA, 5 HE, 1 SE and 3 EX regions, respectively."""
-    if features.mode is not FeatureMode.SIMPLE:
-        raise ValueError(f"render_simple needs simple features, got {features.mode.value}")
-    grade_text = DR_GRADE_NAMES[grade.dr]
-    return Explanation(
-        image_id=image_id,
-        grade_text=grade_text,
-        clauses=_clauses(features),
-        rendered=_simple_sentence(image_id, grade_text, features.values),
-    )
-
-
-def render_extended(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
-    """Sentence in the style: The image 1 is classified as severe NPDR because
-    37 small MAs, 2 medium HEs and 3 large EXs are detected."""
-    if features.mode is not FeatureMode.EXTENDED:
-        raise ValueError(f"render_extended needs extended features, got {features.mode.value}")
-    grade_text = DR_GRADE_NAMES[grade.dr]
-    return Explanation(
-        image_id=image_id,
-        grade_text=grade_text,
-        clauses=_clauses(features),
-        rendered=_extended_sentence(image_id, grade_text, features.values),
-    )
+def _sentence(image_id: str, grade_text: str, features: FeatureVector) -> str:
+    template = _TEMPLATES[features.mode]
+    parts = [
+        template.clause.format(n=n, size=size, lesion=lesion, s="" if n == 1 else "s")
+        for n, size, lesion in _clauses(features)
+    ]
+    body = template.body.format(_join_clauses(parts)) if parts else NO_LESION_PHRASE
+    return template.head.format(image_id=image_id, grade=grade_text) + body + "."
 
 
 def render(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
     """Render with the template matching the vector's mode."""
-    if features.mode is FeatureMode.SIMPLE:
-        return render_simple(image_id, features, grade)
-    return render_extended(image_id, features, grade)
+    grade_text = DR_GRADE_NAMES[grade.dr]
+    return Explanation(
+        image_id=image_id,
+        grade_text=grade_text,
+        clauses=_clauses(features),
+        rendered=_sentence(image_id, grade_text, features),
+    )
 
 
-def _split_clause_list(body: str) -> list[str]:
-    # The final separator is " and "; earlier ones are ", ".  Clause text never
-    # contains either, so a plain split suffices; canonicality is checked by
-    # re-rendering afterwards.
-    head, sep, tail = body.rpartition(" and ")
-    return ([*head.split(", "), tail] if sep else [tail]) if body else []
+def _require(mode: FeatureMode, features: FeatureVector) -> FeatureVector:
+    if features.mode is not mode:
+        raise ValueError(
+            f"render_{mode.value} needs {mode.value} features, got {features.mode.value}"
+        )
+    return features
+
+
+def render_simple(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
+    """:func:`render` for simple features only."""
+    return render(image_id, _require(FeatureMode.SIMPLE, features), grade)
+
+
+def render_extended(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
+    """:func:`render` for extended features only."""
+    return render(image_id, _require(FeatureMode.EXTENDED, features), grade)
 
 
 def parse(rendered: str) -> tuple[str, str, FeatureVector]:
     """Invert a rendered sentence to (image_id, grade_text, feature vector).
 
-    Rejects anything that the renderers could not have produced.
+    Rejects anything that the renderers could not have produced: a sentence
+    that does not re-render to itself (a zero count, a wrong plural, a clause
+    repeated or out of order) is refused as non-canonical.
     """
-    match = _SIMPLE_RE.match(rendered)
-    mode = FeatureMode.SIMPLE
-    if match is None:
-        match = _EXTENDED_RE.match(rendered)
-        mode = FeatureMode.EXTENDED
-    if match is None:
+    for mode, template in _TEMPLATES.items():
+        match = template.sentence_re.match(rendered)
+        if match is not None:
+            break
+    else:
         raise ExplanationParseError(f"not a recognized explanation sentence: {rendered!r}")
-    image_id, grade_text, body = match["id"], match["grade"], match["body"]
+    image_id, grade_text = match["id"], match["grade"]
 
     values = [0] * mode.length
-    if body != NO_LESION_PHRASE:
-        if mode is FeatureMode.SIMPLE:
-            if not (body.startswith("there are ") and body.endswith(" regions, respectively")):
-                raise ExplanationParseError(f"malformed clause section: {body!r}")
-            body = body[len("there are ") : -len(" regions, respectively")]
-        else:
-            if not body.endswith(" are detected"):
-                raise ExplanationParseError(f"malformed clause section: {body!r}")
-            body = body[: -len(" are detected")]
-        for clause in _split_clause_list(body):
-            if mode is FeatureMode.SIMPLE:
-                m = _SIMPLE_CLAUSE_RE.match(clause)
-                if m is None:
-                    raise ExplanationParseError(f"bad lesion clause: {clause!r}")
-                count, lesion = int(m.group(1)), m.group(2)
-                index = _LESION_NAMES.index(lesion)
-            else:
-                m = _EXTENDED_CLAUSE_RE.match(clause)
-                if m is None:
-                    raise ExplanationParseError(f"bad lesion clause: {clause!r}")
-                count, size, lesion, plural = (
-                    int(m.group(1)),
-                    m.group(2),
-                    m.group(3),
-                    m.group(4),
-                )
-                if (count != 1) != (plural == "s"):
-                    raise ExplanationParseError(f"count/plural disagreement: {clause!r}")
-                index = _LESION_NAMES.index(lesion) * 3 + SIZE_WORDS.index(size)
-            if count == 0:
-                raise ExplanationParseError(f"zero-count clause not canonical: {clause!r}")
-            if values[index]:
-                raise ExplanationParseError(f"duplicate clause for {clause!r}")
-            values[index] = count
+    # Clause text holds neither separator; the re-render below rejects misplaced ones.
+    for clause in re.split(", | and ", match["clauses"]) if match["clauses"] else ():
+        m = template.clause_re.match(clause)
+        if m is None:
+            raise ExplanationParseError(f"bad lesion clause: {clause!r}")
+        values[template.labels.index((m.groupdict().get("size"), m["lesion"]))] = int(m["n"])
 
     try:
         vector = FeatureVector(mode=mode, values=tuple(values))
     except ValueError as exc:  # a count of 2**53 or more
         raise ExplanationParseError(f"bad feature counts: {exc}") from None
-    canonical = (
-        _simple_sentence(image_id, grade_text, vector.values)
-        if mode is FeatureMode.SIMPLE
-        else _extended_sentence(image_id, grade_text, vector.values)
-    )
-    if canonical != rendered:
+    if _sentence(image_id, grade_text, vector) != rendered:
         raise ExplanationParseError(f"non-canonical explanation: {rendered!r}")
     return image_id, grade_text, vector

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -74,8 +74,8 @@ class TrainConfig:
     seed: int = 8
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.dropout_prob < 1.0:
@@ -88,15 +88,7 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "dropout_prob": self.dropout_prob,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -136,6 +128,10 @@ class GraderModel:
                 raise ModelFormatError(f"{name} holds a non-finite value")
         if not np.all(self.scale > 0):
             raise ModelFormatError("preprocess scale entries must be strictly positive")
+        try:  # model files are strict JSON: no NaN or Infinity tokens
+            json.dumps(self.training_meta, allow_nan=False)
+        except (ValueError, RecursionError) as exc:
+            raise ModelFormatError(f"training section is not strict JSON: {exc}") from None
 
 
 def _integers(values: Sequence, name: str) -> tuple[int, ...]:
@@ -437,6 +433,8 @@ def train(
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
+    if not np.isfinite(best_val):
+        raise ValueError(f"no epoch reached a finite validation loss (learning_rate {config.learning_rate})")
 
     return GraderModel(
         feature_mode=mode,
@@ -457,13 +455,9 @@ def train(
     )
 
 
-def predict(model: GraderModel, features: FeatureVector) -> GradePair:
-    """Most probable grade pair; argmax ties resolve to the lower grade."""
-    return predict_batch(model, [features])[0]
-
-
 def predict_batch(model: GraderModel, features: Sequence[FeatureVector]) -> list[GradePair]:
-    """Most probable grade pair for each feature vector, in one forward pass."""
+    """Most probable grade pair for each feature vector, in one forward pass;
+    argmax ties resolve to the lower grade."""
     if not features:
         return []
     for fv in features:

@@ -197,19 +197,11 @@ def _disc_template(radius: int) -> np.ndarray:
     return template
 
 
-@dataclass(frozen=True)
-class _ShapeDraft:
-    kind: str
-    height: int
-    width: int
-    size: int
-    radius: int = 0
-
-
 def _sample_shape(
     rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
-) -> _ShapeDraft:
-    """Draw a rectangle or disc with pixel count inside ``size_range``.
+) -> PlacedShape:
+    """Draw a rectangle or disc with pixel count inside ``size_range``, at
+    (0, 0) until :func:`_pack_shelves` places it.
 
     The draws from ``rng`` and their order fix the generated files' bytes.
     """
@@ -219,7 +211,7 @@ def _sample_shape(
         # Indexing by integers(0, n) draws what rng.choice(discs) would.
         radius, count = discs[int(rng.integers(0, len(discs)))]
         side = 2 * radius + 1
-        return _ShapeDraft("disc", side, side, count, radius)
+        return PlacedShape("disc", 0, 0, side, side, count, radius)
 
     hh_min = max(1, -((lo + 1) // -max_w))  # ceil((lo + 1) / max_w)
     hh_max = min(max_h, math.isqrt(hi))
@@ -234,7 +226,7 @@ def _sample_shape(
     if ww_min > ww_max:  # a narrow size range; _draw_shape draws again
         raise ValueError(f"no {hh}-row rectangle has {size_range[0]}..{hi} px")
     ww = int(rng.integers(ww_min, ww_max + 1))
-    return _ShapeDraft("rect", hh, ww, hh * ww)
+    return PlacedShape("rect", 0, 0, hh, ww, hh * ww)
 
 
 def _fits_some_shape(size_range: tuple[int, int], max_h: int, max_w: int) -> bool:
@@ -247,7 +239,7 @@ def _fits_some_shape(size_range: tuple[int, int], max_h: int, max_w: int) -> boo
 
 def _draw_shape(
     rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
-) -> _ShapeDraft:
+) -> PlacedShape:
     """:func:`_sample_shape`, drawn again while the rectangle height it draws
     leaves no width (its only ``ValueError``).  A draw that succeeds the first
     time is kept, so every range that never fails draws what it always did."""
@@ -263,7 +255,7 @@ def _draw_shape(
 
 
 def _pack_shelves(
-    drafts: Sequence[_ShapeDraft], width: int, height: int
+    drafts: Sequence[PlacedShape], width: int, height: int
 ) -> Optional[list[PlacedShape]]:
     """Place shapes with >= 2 px gaps via first-fit decreasing-height shelves."""
     ordered = sorted(drafts, key=lambda d: (-d.height, -d.width, d.kind))
@@ -293,7 +285,7 @@ def _plan_class_shapes(
     diagnostic: str,
 ) -> tuple[PlacedShape, ...]:
     for _ in range(_PACKING_RETRIES):
-        drafts: list[_ShapeDraft] = []
+        drafts: list[PlacedShape] = []
         for bucket, count in (*enumerate(bucket_counts), (3, noise_count)):
             for _ in range(count):
                 drafts.append(

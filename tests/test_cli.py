@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import os
 import shutil
@@ -8,10 +11,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import retsym
-from retsym import ModelFormatError, load_model, read_features_csv
-from retsym.cli import main, read_predictions_csv
+from retsym import (
+    GradePair,
+    ModelFormatError,
+    TrainConfig,
+    load_model,
+    read_features_csv,
+    write_features_csv,
+)
+from retsym import cli
+from retsym.cli import main, read_predictions_csv, write_predictions_csv
+from retsym.symbolic import features_header
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +308,175 @@ def test_bad_predictions_csv(tmp_path, pipeline, capsys):
                "--pred", str(pred)])
     assert rc == 2
     capsys.readouterr()
+
+
+def _training_args(command, pipeline, out):
+    if command == "train":
+        return ["train", "--features", str(pipeline / "features.csv"), "--out", str(out),
+                "--hidden-dims", "16,8"]
+    return ["ablation", "--manifest", str(pipeline / "data" / "manifest.csv"), "--out", str(out),
+            "--hidden-dims", "16,8"]
+
+
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--lr", "nan"], None, "learning_rate must be positive and finite"),
+        (["--lr", "inf"], None, "learning_rate must be positive and finite"),
+        (["--lr", "1e308"], None, "no epoch reached a finite validation loss"),
+        ([], '{"learning_rate": 1e400}', "learning_rate must be positive and finite"),
+        ([], '{"learning_rate": NaN}', "learning_rate must be positive and finite"),
+        ([], '{"learning_rate": 1' + "0" * 400 + "}", "config learning_rate is out of range"),
+    ],
+    ids=["lr-nan", "lr-inf", "lr-1e308", "config-1e400", "config-NaN", "config-400-digits"],
+)
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_non_finite_training_is_rejected(pipeline, tmp_path, capsys, command, flags, config, message):
+    # Each of these used to exit 0 and write the untrained initial weights.
+    out = tmp_path / "out"
+    args = _training_args(command, pipeline, out) + flags
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        args += ["--config", str(tmp_path / "config.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_model_with_non_finite_training_meta_is_rejected(pipeline, tmp_path, capsys):
+    doc = json.loads((pipeline / "model.json").read_text())
+    doc["training"]["best_val_loss"] = float("nan")
+    nan_model = tmp_path / "nan.json"
+    nan_model.write_text(json.dumps(doc))  # json writes the NaN token
+    with pytest.raises(ModelFormatError, match="training section is not strict JSON"):
+        load_model(nan_model)
+    assert main(["predict", "--model", str(nan_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "not strict JSON" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+# Every TrainConfig field: its flag, a flag value and a --config value (neither the default).
+_OPTION_CASES = {
+    "learning_rate": ("--lr", 0.05, 0.02),
+    "batch_size": ("--batch-size", 7, 5),
+    "dropout_prob": ("--dropout", 0.25, 0.15),
+    "max_epochs": ("--max-epochs", 9, 6),
+    "patience": ("--patience", 5, 4),
+    "validation_fraction": ("--val-fraction", 0.3, 0.4),
+    "seed": ("--seed", 11, 12),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_train_option_declaration(pipeline, tmp_path, monkeypatch, capsys, command, field):
+    flag, flag_value, config_value = _OPTION_CASES[field]  # a KeyError names a new field
+    seen = []
+
+    def capture(data, config, **kwargs):  # stands in for grader.train / evaluation.ablation
+        seen.append(config)
+        raise ValueError("config captured")
+
+    monkeypatch.setattr(cli, command, capture)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: config_value}))
+    base = _training_args(command, pipeline, tmp_path / "out")
+    for extra, want in (
+        ([flag, str(flag_value)], flag_value),  # the flag sets it
+        (["--config", str(config)], config_value),  # --config sets it
+        (["--config", str(config), flag, str(flag_value)], flag_value),  # the flag wins
+    ):
+        assert main(base + extra) == 2
+        assert "config captured" in capsys.readouterr().err
+        assert seen.pop() == dataclasses.replace(TrainConfig(), **{field: want})
+
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    metavar = flag[2:].upper().replace("-", "_")
+    entry = text.split(f" {flag} {metavar} ")[1].split(" --")[0]
+    assert f"(default: {getattr(TrainConfig(), field)})" in entry
+
+
+def test_prediction_ids_with_commas_and_quotes(pipeline, tmp_path):
+    # Manifest and features CSVs quote such ids; predictions.csv must too.
+    mode, rows = read_features_csv(pipeline / "features.csv")
+    odd_ids = [f"img,{i:04d}" if i % 2 else f'img"{i:04d}' for i in range(len(rows))]
+    features = tmp_path / "odd.csv"
+    write_features_csv(features, mode, [(i, *row[1:]) for i, row in zip(odd_ids, rows)])
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(pipeline / "model.json"),
+                 "--features", str(features), "--out", str(pred)]) == 0
+    assert [image_id for image_id, _ in read_predictions_csv(pred)] == odd_ids
+    assert main(["evaluate", "--truth", str(features), "--pred", str(pred)]) == 0
+
+    plain = tmp_path / "plain.csv"  # plain ids keep their bytes
+    write_predictions_csv(plain, [("img_0000", GradePair(2, 1)), ("img_0001", GradePair(0, 0))])
+    assert plain.read_bytes() == b"image_id,dr_pred,dme_pred\nimg_0000,2,1\nimg_0001,0,0\n"
+
+
+# Cell text that no writer produces: huge integers, JSON's non-finite
+# tokens, other scripts' digits, separators and quotes.
+_HOSTILE_CELLS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.integers(2**53 - 2, 2**80).map(str),
+    st.integers(17, 5000).map(lambda n: "9" * n),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e308", "-1", "", " 3", "\u0663", '"', "a,b"]),
+)
+
+
+@st.composite
+def _hostile_csv(draw, header, ids):
+    """CSV bytes under ``header``: rows of too few, too many or hostile cells,
+    ids drawn with repeats, and sometimes bytes that are not UTF-8."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.sampled_from([len(header)] * 3 + [1, len(header) - 1, len(header) + 1]))
+        cells = draw(st.lists(_HOSTILE_CELLS, min_size=width - 1, max_size=width - 1))
+        writer.writerow([draw(st.sampled_from(ids)), *cells])
+    data = buffer.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\x00", b"\r"])) + data[at:]
+    return data
+
+
+_HYPOTHESIS_CLI = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_HYPOTHESIS_CLI
+@given(data=st.data())
+def test_hostile_features_csv_exits_0_or_2(pipeline, data):
+    mode = data.draw(st.sampled_from(list(retsym.FeatureMode)))
+    ids = ["img_0000", "img_0001", "img,0002", 'i"d']
+    path = pipeline / "hostile_features.csv"
+    path.write_bytes(data.draw(_hostile_csv(features_header(mode), ids)))
+    out = pipeline / "hostile_out"
+    for args in (
+        ["predict", "--model", str(pipeline / "model.json"), "--features", str(path),
+         "--out", str(out)],
+        ["train", "--features", str(path), "--out", str(out), "--max-epochs", "1",
+         "--hidden-dims", "4"],
+        ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
+    ):
+        assert main(args) in (0, 2), args
+
+
+@_HYPOTHESIS_CLI
+@given(data=st.data())
+def test_hostile_predictions_csv_exits_0_or_2(pipeline, data):
+    ids = ["img_0000", "img_0001", "img_0002", "img,0002", "ghost"]
+    path = pipeline / "hostile_pred.csv"
+    path.write_bytes(data.draw(_hostile_csv(["image_id", "dr_pred", "dme_pred"], ids)))
+    for truth in (pipeline / "features.csv", pipeline / "data" / "manifest.csv"):
+        assert main(["evaluate", "--truth", str(truth), "--pred", str(path)]) in (0, 2)
 
 
 def test_thresholds_flag_changes_features(pipeline, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from retsym import (
     ModelFormatError,
     TrainConfig,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train,
@@ -82,6 +83,30 @@ def test_train_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if isinstance(f.default, float)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(_FLOAT_FIELDS),
+    value=st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_train_config_float_fields_must_be_finite(field, value):
+    try:
+        config = TrainConfig(**{field: value})
+    except ValueError:
+        return
+    assert math.isfinite(getattr(config, field))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_training_meta(bad):
+    model = train(_toy_dataset(), TrainConfig(max_epochs=1), hidden_dims=TINY_DIMS)
+    meta = {**model.training_meta, "best_val_loss": bad}
+    with pytest.raises(ModelFormatError, match="training section is not strict JSON"):
+        dataclasses.replace(model, training_meta=meta)
 
 
 def test_softmax_properties():
@@ -473,7 +498,7 @@ def test_predict_matches_predict_batch():
     model = train(data, TrainConfig(max_epochs=5), hidden_dims=TINY_DIMS)
     vectors = [fv for fv, _ in data[:15]]
     batched = predict_batch(model, vectors)
-    assert batched == [predict(model, fv) for fv in vectors]
+    assert batched == [predict_batch(model, [fv])[0] for fv in vectors]
     assert predict_batch(model, []) == []
 
 
@@ -496,7 +521,7 @@ def test_save_load_round_trip(tmp_path):
                  (model.scale, again.scale)):
         assert np.array_equal(a, b)
     fv = _simple(9, 9, 9, 9)
-    assert predict(model, fv) == predict(again, fv)
+    assert predict_batch(model, [fv]) == predict_batch(again, [fv])
     assert again.training_meta == model.training_meta
 
 

@@ -31,10 +31,10 @@ from retsym import (
 from retsym.symbolic import LESION_ORDER
 from retsym.synth import (
     GROUND_TRUTH_COLUMNS,
+    PlacedShape,
     _disc_count,
     _disc_template,
     _sample_shape,
-    _ShapeDraft,
     rasterize,
 )
 
@@ -216,14 +216,14 @@ def _sample_shape_reference(rng, size_range, max_h, max_w):
     if disc_radii and rng.random() < 0.3:
         radius = int(rng.choice(disc_radii))
         side = 2 * radius + 1
-        return _ShapeDraft("disc", side, side, _disc_count(radius), radius)
+        return PlacedShape("disc", 0, 0, side, side, _disc_count(radius), radius)
     hh_min = max(1, -((lo + 1) // -max_w))
     hh_max = min(max_h, math.isqrt(hi))
     if hh_min > hh_max:
         raise PackingError("no rectangle fits")
     hh = int(rng.integers(hh_min, hh_max + 1))
     ww = int(rng.integers(lo // hh + 1, min(hi // hh, max_w) + 1))
-    return _ShapeDraft("rect", hh, ww, hh * ww)
+    return PlacedShape("rect", 0, 0, hh, ww, hh * ww)
 
 
 def _draw(sample, seed, size_range, max_h, max_w, n):
