@@ -45,7 +45,7 @@ from .grader import (
     save_model,
     train,
 )
-from .mask_io import MANIFEST_COLUMNS, csv_errors_as, load_manifest
+from .mask_io import MANIFEST_COLUMNS, load_manifest, read_csv, read_text
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
@@ -81,22 +81,17 @@ def write_predictions_csv(path: str | Path, rows: Sequence[tuple[str, GradePair]
 
 
 def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"{path}: predictions file does not exist")
+    records = read_csv(Path(path), ValueError, "predictions")
+    if not records or records[0][1] != list(PREDICTIONS_COLUMNS):
+        raise ValueError(f"{path}: expected header {','.join(PREDICTIONS_COLUMNS)!r}")
     rows = []
-    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
-        ValueError, csv.reader(fh), path
-    ) as reader:
-        if next(reader, None) != list(PREDICTIONS_COLUMNS):
-            raise ValueError(f"{path}: expected header {','.join(PREDICTIONS_COLUMNS)!r}")
-        for cells in reader:
-            if len(cells) != 3:
-                raise ValueError(f"{path}:{reader.line_num}: expected 3 columns, got {len(cells)}")
-            try:
-                rows.append((cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    for line, cells in records[1:]:
+        if len(cells) != 3:
+            raise ValueError(f"{path}: line {line}: expected 3 columns, got {len(cells)}")
+        try:
+            rows.append((cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
     return rows
 
 
@@ -107,9 +102,10 @@ def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
+    text = read_text(Path(path), ValueError, "config")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -306,23 +302,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def _reference_pairs(path: str | Path) -> dict[str, GradePair]:
     """Reference grades from either a manifest or a labeled features CSV."""
     path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"{path}: reference file does not exist")
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    pairs: dict[str, GradePair] = {}
-    if header == ",".join(MANIFEST_COLUMNS):
-        for record in load_manifest(path):
-            if not record.labeled:
-                raise ValueError(f"{path}: image {record.image_id!r} has no grades")
-            pairs[record.image_id] = GradePair(record.dr_grade, record.dme_grade)
+    records = read_csv(path, ValueError, "reference")
+    if records and records[0][1] == list(MANIFEST_COLUMNS):
+        grades = [(r.image_id, r.dr_grade, r.dme_grade) for r in load_manifest(path)]
     else:
-        _, rows = read_features_csv(path)
-        for image_id, _, dr, dme in rows:
-            if dr is None or dme is None:
-                raise ValueError(f"{path}: image {image_id!r} has no grades")
-            pairs[image_id] = GradePair(dr, dme)
-    return pairs
+        grades = [(image_id, dr, dme) for image_id, _, dr, dme in read_features_csv(path)[1]]
+    ungraded = [image_id for image_id, dr, _ in grades if dr is None]
+    if ungraded:
+        raise ValueError(f"{path}: image {ungraded[0]!r} has no grades")
+    return {image_id: GradePair(dr, dme) for image_id, dr, dme in grades}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

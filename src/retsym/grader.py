@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE
+from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, read_text
 from .symbolic import DEFAULT_THRESHOLDS, FeatureMode, FeatureVector, SizeThresholds
 
 DR_GRADE_NAMES = ("no DR", "mild NPDR", "moderate NPDR", "severe NPDR", "PDR")
@@ -356,6 +356,7 @@ def _fit_preprocess(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift, scale
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run is rejected by its validation loss
 def train(
     dataset: Sequence[tuple[FeatureVector, GradePair]],
     config: TrainConfig,
@@ -590,11 +591,10 @@ def _model_from_doc(doc: object) -> GraderModel:
 
 def load_model(path: str | Path) -> GraderModel:
     path = Path(path)
-    if not path.is_file():
-        raise ModelFormatError(f"{path}: model file does not exist")
+    text = read_text(path, ModelFormatError, "model")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
     try:
         return _model_from_doc(doc)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import enum
-from contextlib import contextmanager
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -333,77 +333,88 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 # Manifest
 
 
-def _parse_grade(cell: str, valid: range, column: str, line: int, path: Path) -> Optional[int]:
-    text = cell.strip()
-    if not text:
-        return None
+def read_text(path: Path, error: type[ValueError], what: str) -> str:
+    """A file's UTF-8 text.  A missing file or bytes that are not UTF-8 raise
+    ``error`` naming the file, and for bad bytes the line (as csv counts it)."""
+    if not path.is_file():
+        raise error(f"{path}: {what} file does not exist")
+    data = path.read_bytes()
     try:
-        grade = int(text)
-    except ValueError:
-        raise ManifestError(f"{path}: line {line}: {column} {text!r} is not an integer") from None
-    if grade not in valid:
-        raise ManifestError(
-            f"{path}: line {line}: {column} {grade} outside {valid.start}..{valid.stop - 1}"
-        )
-    return grade
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(io.StringIO(data[: exc.start].decode() + "x", newline="").readlines())
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-@contextmanager
-def csv_errors_as(error: type[ValueError], reader: Any, path: Path) -> Iterator[Any]:
-    """Yield ``reader``; a ``csv.Error`` in the block, such as a field over
-    ``csv.field_size_limit()``, is raised as ``error`` naming path and line."""
+def read_csv(path: Path, error: type[ValueError], what: str) -> list[tuple[int, list[str]]]:
+    """Every record of a UTF-8 CSV file, header included, with the physical line it
+    ends on.  Besides :func:`read_text`'s errors, a ``csv.Error`` (a field over
+    ``csv.field_size_limit()``, say) raises ``error`` naming the file and line."""
+    reader = csv.reader(io.StringIO(read_text(path, error, what), newline=""))
     try:
-        yield reader
+        return [(reader.line_num, cells) for cells in reader]
     except csv.Error as exc:
-        # A DictReader copies line_num from its csv.reader only once a row parses.
-        line = getattr(reader, "reader", reader).line_num
-        raise error(f"{path}: line {line}: {exc}") from None
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[int]]:
+    """A (DR, DME) pair from two cells: both empty, or both integers in range."""
+    cells = (dr_cell.strip(), dme_cell.strip())
+    if not any(cells):
+        return None, None
+    if not all(cells):
+        raise ValueError("dr_grade and dme_grade must be present together or absent together")
+    grades = []
+    for column, text, valid in zip(("dr_grade", "dme_grade"), cells, (DR_GRADE_RANGE, DME_GRADE_RANGE)):
+        try:
+            grade = int(text)
+        except ValueError:
+            raise ValueError(f"{column} {text!r} is not an integer") from None
+        if grade not in valid:
+            raise ValueError(f"{column} {grade} out of range {valid.start}..{valid.stop - 1}")
+        grades.append(grade)
+    return grades[0], grades[1]
 
 
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """Parse a manifest CSV into records, preserving row order.
 
-    Mask paths are resolved relative to the manifest's directory.  Grade
-    cells may be empty, but only together; a row with exactly one grade is
-    rejected.
+    Columns are found by header name: extra ones are ignored and a repeated
+    name takes its last column.  Blank rows are skipped; short rows read as
+    padded with empty cells.  Mask paths resolve against the manifest's
+    directory.  Grade cells may be empty, but only together.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"{path}: manifest file does not exist")
     base = path.parent
+    rows = read_csv(path, ManifestError, "manifest")
+    header = rows[0][1] if rows else []
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in MANIFEST_COLUMNS if c not in index]
+    if missing:
+        raise ManifestError(f"{path}: missing column(s) {', '.join(missing)}")
+    columns = [index[c] for c in MANIFEST_COLUMNS]
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
-        ManifestError, csv.DictReader(fh), path
-    ) as reader:
-        header = reader.fieldnames or []
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise ManifestError(f"{path}: missing column(s) {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            image_id = (row["image_id"] or "").strip()
-            if not image_id:
-                raise ManifestError(f"{path}: line {line}: empty image_id")
-            if image_id in seen:
-                raise ManifestError(f"{path}: line {line}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            mask_paths: dict[LesionClass, Path] = {}
-            for cls in LesionClass:
-                cell = (row[cls.manifest_column] or "").strip()
-                if not cell:
-                    raise ManifestError(
-                        f"{path}: line {line}: empty {cls.manifest_column} for {image_id!r}"
-                    )
-                p = Path(cell)
-                mask_paths[cls] = p if p.is_absolute() else base / p
-            dr = _parse_grade(row["dr_grade"] or "", DR_GRADE_RANGE, "dr_grade", line, path)
-            dme = _parse_grade(row["dme_grade"] or "", DME_GRADE_RANGE, "dme_grade", line, path)
-            if (dr is None) != (dme is None):
-                raise ManifestError(
-                    f"{path}: line {line}: dr_grade and dme_grade must be "
-                    f"present together or absent together"
-                )
-            records.append(ManifestRecord(image_id, mask_paths, dr, dme))
+    for line, cells in rows[1:]:
+        if not cells:
+            continue
+        cells += [""] * (len(header) - len(cells))
+        image_id, *masks, dr_cell, dme_cell = (cells[i].strip() for i in columns)
+        if not image_id:
+            raise ManifestError(f"{path}: line {line}: empty image_id")
+        if image_id in seen:
+            raise ManifestError(f"{path}: line {line}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        mask_paths: dict[LesionClass, Path] = {}
+        for cls, cell in zip(LesionClass, masks):
+            if not cell:
+                raise ManifestError(f"{path}: line {line}: empty {cls.manifest_column} for {image_id!r}")
+            mask_paths[cls] = base / cell  # an absolute cell replaces base
+        try:
+            dr, dme = parse_grades(dr_cell, dme_cell)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: line {line}: {exc}") from None
+        records.append(ManifestRecord(image_id, mask_paths, dr, dme))
     return records
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, LesionClass, csv_errors_as
+from .mask_io import LesionClass, parse_grades, read_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -154,51 +154,28 @@ def write_features_csv(path: str | Path, mode: FeatureMode, rows: Sequence[Featu
 
 def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
     """Read a features CSV, inferring the mode from the column count."""
-    path = Path(path)
-    if not path.is_file():
-        raise FeaturesCsvError(f"{path}: features file does not exist")
-    with path.open(newline="", encoding="utf-8") as fh, csv_errors_as(
-        FeaturesCsvError, csv.reader(fh), path
-    ) as reader:
+    records = read_csv(Path(path), FeaturesCsvError, "features")
+    if not records:
+        raise FeaturesCsvError(f"{path}: empty file")
+    header = records[0][1]
+    for mode in FeatureMode:
+        if header == features_header(mode):
+            break
+    else:
+        raise FeaturesCsvError(f"{path}: unrecognized header {header!r}")
+    rows: list[FeatureRow] = []
+    seen: set[str] = set()
+    for line, cells in records[1:]:
+        if len(cells) != len(header):
+            raise FeaturesCsvError(f"{path}: line {line}: expected {len(header)} cells, got {len(cells)}")
+        image_id = cells[0]
+        if image_id in seen:
+            raise FeaturesCsvError(f"{path}: line {line}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FeaturesCsvError(f"{path}: empty file") from None
-        for mode in FeatureMode:
-            if header == features_header(mode):
-                break
-        else:
-            raise FeaturesCsvError(f"{path}: unrecognized header {header!r}")
-        rows: list[FeatureRow] = []
-        seen: set[str] = set()
-        for line, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise FeaturesCsvError(
-                    f"{path}: line {line}: expected {len(header)} cells, got {len(cells)}"
-                )
-            image_id = cells[0]
-            if image_id in seen:
-                raise FeaturesCsvError(f"{path}: line {line}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            try:
-                values = tuple(int(c) for c in cells[1 : 1 + mode.length])
-                vector = FeatureVector(mode=mode, values=values)
-            except ValueError as exc:
-                raise FeaturesCsvError(f"{path}: line {line}: {exc}") from None
-            dr_cell, dme_cell = cells[-2].strip(), cells[-1].strip()
-            if (dr_cell == "") != (dme_cell == ""):
-                raise FeaturesCsvError(
-                    f"{path}: line {line}: grades must be present together or absent together"
-                )
-            dr = dme = None
-            if dr_cell:
-                try:
-                    dr, dme = int(dr_cell), int(dme_cell)
-                except ValueError:
-                    raise FeaturesCsvError(f"{path}: line {line}: non-integer grade") from None
-                if dr not in DR_GRADE_RANGE or dme not in DME_GRADE_RANGE:
-                    raise FeaturesCsvError(
-                        f"{path}: line {line}: grade pair ({dr}, {dme}) out of range"
-                    )
-            rows.append((image_id, vector, dr, dme))
+            vector = FeatureVector(mode=mode, values=tuple(int(c) for c in cells[1:-2]))
+            dr, dme = parse_grades(cells[-2], cells[-1])
+        except ValueError as exc:
+            raise FeaturesCsvError(f"{path}: line {line}: {exc}") from None
+        rows.append((image_id, vector, dr, dme))
     return mode, rows

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grader import GradePair
-from .mask_io import LesionClass, LesionMask, save_mask, write_manifest
+from .mask_io import LesionClass, LesionMask, read_csv, save_mask, write_manifest
 from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SizeThresholds
 
 GROUND_TRUTH_COLUMNS = (
@@ -457,14 +457,13 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
 
 def read_ground_truth(path: str | Path) -> list[tuple[str, np.ndarray, GradePair]]:
     """Read a ground-truth sidecar back into (image_id, (4, 3) counts, label)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(GROUND_TRUTH_COLUMNS):
+    records = read_csv(Path(path), ValueError, "ground-truth")
+    if not records or records[0][1] != list(GROUND_TRUTH_COLUMNS):
         raise ValueError(f"{path}: not a ground-truth sidecar")
     out = []
-    for line in lines[1:]:
-        cells = line.split(",")
+    for line, cells in records[1:]:
         if len(cells) != len(GROUND_TRUTH_COLUMNS):
-            raise ValueError(f"{path}: malformed row {line!r}")
+            raise ValueError(f"{path}: line {line}: malformed row {cells!r}")
         counts = np.array([int(c) for c in cells[1:13]], dtype=int).reshape(4, 3)
         out.append((cells[0], counts, GradePair(int(cells[13]), int(cells[14]))))
     return out

@@ -25,6 +25,7 @@ from retsym import (
 )
 from retsym import cli
 from retsym.cli import main, read_predictions_csv, write_predictions_csv
+from retsym.mask_io import MANIFEST_COLUMNS
 from retsym.symbolic import features_header
 
 
@@ -250,28 +251,33 @@ def test_huge_feature_counts_are_rejected(pipeline, tmp_path, capsys, command, c
 @pytest.mark.parametrize("command", ["extract", "evaluate", "train", "predict", "explain"])
 def test_oversized_csv_field_is_rejected(pipeline, tmp_path, capsys, command):
     # The csv module refuses a field over 131,072 characters with csv.Error,
-    # which is no ValueError: the CLI exited 1 with a traceback.
+    # which is no ValueError: the CLI exited 1 with a traceback.  A byte that
+    # is not UTF-8 escaped as a bare UnicodeDecodeError naming neither the
+    # file nor the line.
     source = (pipeline / "data" / "manifest.csv" if command in ("extract", "evaluate")
               else pipeline / "features.csv")
-    lines = source.read_text().splitlines()
-    lines[1] = "x" * 200_000 + lines[1][lines[1].index(","):]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    args = {
-        "extract": ["extract", "--manifest", str(bad), "--out", str(out)],
-        "evaluate": ["evaluate", "--truth", str(bad), "--pred", str(pipeline / "pred.csv"),
-                     "--out", str(out)],
-        "train": ["train", "--features", str(bad), "--out", str(out), "--max-epochs", "1"],
-        "predict": ["predict", "--model", str(pipeline / "model.json"), "--features", str(bad),
-                    "--out", str(out)],
-        "explain": ["explain", "--model", str(pipeline / "model.json"), "--features", str(bad),
-                    "--out", str(out)],
-    }[command]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}: line 2: field larger than field limit" in err and "Traceback" not in err
-    assert not out.exists()
+    lines = source.read_bytes().splitlines()
+    for row, message in ((b"x" * 200_000 + lines[1][lines[1].index(b","):],
+                          "field larger than field limit"),
+                         (b"\xff" + lines[1], "not UTF-8 text")):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join([lines[0], row, *lines[2:]]) + b"\n")
+        out = tmp_path / "out"
+        args = {
+            "extract": ["extract", "--manifest", str(bad), "--out", str(out)],
+            "evaluate": ["evaluate", "--truth", str(bad), "--pred", str(pipeline / "pred.csv"),
+                         "--out", str(out)],
+            "train": ["train", "--features", str(bad), "--out", str(out), "--max-epochs", "1"],
+            "predict": ["predict", "--model", str(pipeline / "model.json"), "--features", str(bad),
+                        "--out", str(out)],
+            "explain": ["explain", "--model", str(pipeline / "model.json"), "--features", str(bad),
+                        "--out", str(out)],
+        }[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2: {message}" in err, err
+        assert "Traceback" not in err and "codec can't decode" not in err
+        assert not out.exists()
 
 
 def test_deeply_nested_json_is_rejected(pipeline, tmp_path, capsys):
@@ -285,6 +291,22 @@ def test_deeply_nested_json_is_rejected(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "m.json"), "--config", str(nested)]) == 2
     err = capsys.readouterr().err
     assert err.count("not valid JSON") == 2 and "Traceback" not in err
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
+
+
+def test_non_utf8_json_is_rejected(pipeline, tmp_path, capsys):
+    # A byte that is not UTF-8 escaped load_model as UnicodeDecodeError.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format_version": "\xff"}')
+    with pytest.raises(ModelFormatError, match="line 1: not UTF-8 text"):
+        load_model(bad)
+    assert main(["predict", "--model", str(bad), "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert main(["train", "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "m.json"), "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{bad}: line 1: not UTF-8 text") == 2, err
+    assert "Traceback" not in err and "codec can't decode" not in err
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
 
 
@@ -429,7 +451,7 @@ _HOSTILE_CELLS = st.one_of(
 
 
 @st.composite
-def _hostile_csv(draw, header, ids):
+def _hostile_csv(draw, header, ids, cell=_HOSTILE_CELLS):
     """CSV bytes under ``header``: rows of too few, too many or hostile cells,
     ids drawn with repeats, and sometimes bytes that are not UTF-8."""
     buffer = io.StringIO()
@@ -437,7 +459,7 @@ def _hostile_csv(draw, header, ids):
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 4))):
         width = draw(st.sampled_from([len(header)] * 3 + [1, len(header) - 1, len(header) + 1]))
-        cells = draw(st.lists(_HOSTILE_CELLS, min_size=width - 1, max_size=width - 1))
+        cells = draw(st.lists(cell, min_size=width - 1, max_size=width - 1))
         writer.writerow([draw(st.sampled_from(ids)), *cells])
     data = buffer.getvalue().encode("utf-8")
     if draw(st.booleans()):
@@ -453,7 +475,7 @@ _HYPOTHESIS_CLI = settings(
 
 @_HYPOTHESIS_CLI
 @given(data=st.data())
-def test_hostile_features_csv_exits_0_or_2(pipeline, data):
+def test_hostile_features_csv_exits_0_or_2(pipeline, capsys, data):
     mode = data.draw(st.sampled_from(list(retsym.FeatureMode)))
     ids = ["img_0000", "img_0001", "img,0002", 'i"d']
     path = pipeline / "hostile_features.csv"
@@ -467,16 +489,35 @@ def test_hostile_features_csv_exits_0_or_2(pipeline, data):
         ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
     ):
         assert main(args) in (0, 2), args
+        assert "codec can't decode" not in capsys.readouterr().err
 
 
 @_HYPOTHESIS_CLI
 @given(data=st.data())
-def test_hostile_predictions_csv_exits_0_or_2(pipeline, data):
+def test_hostile_predictions_csv_exits_0_or_2(pipeline, capsys, data):
     ids = ["img_0000", "img_0001", "img_0002", "img,0002", "ghost"]
     path = pipeline / "hostile_pred.csv"
     path.write_bytes(data.draw(_hostile_csv(["image_id", "dr_pred", "dme_pred"], ids)))
     for truth in (pipeline / "features.csv", pipeline / "data" / "manifest.csv"):
         assert main(["evaluate", "--truth", str(truth), "--pred", str(path)]) in (0, 2)
+        assert "codec can't decode" not in capsys.readouterr().err
+
+
+@_HYPOTHESIS_CLI
+@given(data=st.data())
+def test_hostile_manifest_exits_0_or_2(pipeline, capsys, data):
+    # A cell may name one of the pipeline's masks, so rows can pass the mask checks.
+    ids = ["img_0000", "img_0001", "img,0002", 'i"d']
+    mask = st.just(str(pipeline / "data" / "masks" / "img_0000_MA.pgm"))
+    path = pipeline / "hostile_manifest.csv"
+    path.write_bytes(data.draw(_hostile_csv(MANIFEST_COLUMNS, ids, st.one_of(mask, _HOSTILE_CELLS))))
+    out = pipeline / "hostile_out"
+    for args in (
+        ["extract", "--manifest", str(path), "--out", str(out)],
+        ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
+    ):
+        assert main(args) in (0, 2), args
+        assert "codec can't decode" not in capsys.readouterr().err
 
 
 def test_thresholds_flag_changes_features(pipeline, tmp_path):
