@@ -1,11 +1,11 @@
-"""Binary lesion-mask I/O and the dataset manifest.
+"""Binary lesion-mask I/O, the dataset manifest, and the one CSV reader.
 
 Masks are single-channel PGM rasters (P2 ASCII or P5 binary, maxval <= 255).
 A P2 sample is a token of ASCII digits (leading zeros allowed); ``#`` comments
 run to end of line anywhere between tokens, and error offsets name the
 offending token.  A pixel is lesion foreground iff its sample value exceeds
 127.  The manifest is a CSV binding four per-class mask files and an optional
-(DR, DME) label pair to each image id.
+(DR, DME) label pair to each image id; :func:`read_csv` reads every CSV input.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Manifest
+# Text and CSV input; the manifest
 
 
 def read_text(path: Path, error: type[ValueError], what: str) -> str:

@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 import retsym
 from retsym import (
+    FeaturesCsvError,
     GradePair,
+    ManifestError,
     ModelFormatError,
     TrainConfig,
+    load_manifest,
     load_model,
     read_features_csv,
     write_features_csv,
@@ -27,6 +30,7 @@ from retsym import cli
 from retsym.cli import main, read_predictions_csv, write_predictions_csv
 from retsym.mask_io import MANIFEST_COLUMNS
 from retsym.symbolic import features_header
+from retsym.synth import GROUND_TRUTH_COLUMNS, read_ground_truth
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +284,35 @@ def test_oversized_csv_field_is_rejected(pipeline, tmp_path, capsys, command):
         assert not out.exists()
 
 
+def _header(columns):
+    return ",".join(columns).encode()
+
+
+@pytest.mark.parametrize("read,columns,error", [
+    (load_manifest, MANIFEST_COLUMNS, ManifestError),
+    (read_features_csv, features_header(retsym.FeatureMode.SIMPLE), FeaturesCsvError),
+    (read_predictions_csv, cli.PREDICTIONS_COLUMNS, ValueError),
+    (cli._reference_pairs, MANIFEST_COLUMNS, ValueError),
+    (read_ground_truth, GROUND_TRUTH_COLUMNS, ValueError),
+], ids=["manifest", "features", "predictions", "reference", "ground-truth"])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, read, columns, error):
+    # Line 4: the quoted id spans lines 2 and 3, and CRLF, LF and CR all end a line.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_header(columns) + b'\r\n"a\nb",1\r\xff,2\n')
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{path}: line 4: not UTF-8 text (invalid start byte"), exc.value
+
+
+def test_reference_reads_a_quoted_manifest_header(tmp_path):
+    # The header's cells, not its raw text, select the manifest reader, as
+    # they do for `extract --manifest`.
+    path = tmp_path / "truth.csv"
+    path.write_bytes(b'"image_id",' + _header(MANIFEST_COLUMNS[1:]) + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1\n")
+    assert {i: (p.dr, p.dme) for i, p in cli._reference_pairs(path).items()} == {"a": (2, 1)}
+
+
 def test_deeply_nested_json_is_rejected(pipeline, tmp_path, capsys):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
@@ -294,18 +327,23 @@ def test_deeply_nested_json_is_rejected(pipeline, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
 
 
-def test_non_utf8_json_is_rejected(pipeline, tmp_path, capsys):
-    # A byte that is not UTF-8 escaped load_model as UnicodeDecodeError.
+@pytest.mark.parametrize("text,message", [
+    (b'{"seed":\n "\xff"}', "line 2: not UTF-8 text"),
+    (b'{"seed": 1' + b"0" * 5000 + b"}", "not valid JSON"),
+], ids=["not-utf8", "5001-digits"])
+def test_undecodable_json_names_the_file(pipeline, tmp_path, capsys, text, message):
+    # Both escaped load_model as a bare UnicodeDecodeError or ValueError,
+    # and the CLI's message named no file.
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b'{"format_version": "\xff"}')
-    with pytest.raises(ModelFormatError, match="line 1: not UTF-8 text"):
+    bad.write_bytes(text)
+    with pytest.raises(ModelFormatError, match=message):
         load_model(bad)
     assert main(["predict", "--model", str(bad), "--features", str(pipeline / "features.csv"),
                  "--out", str(tmp_path / "p.csv")]) == 2
     assert main(["train", "--features", str(pipeline / "features.csv"),
                  "--out", str(tmp_path / "m.json"), "--config", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.count(f"{bad}: line 1: not UTF-8 text") == 2, err
+    assert err.count(f"{bad}: {message}") == 2, err
     assert "Traceback" not in err and "codec can't decode" not in err
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
 
