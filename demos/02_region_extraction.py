@@ -3,8 +3,8 @@ From pixels to regions: 8-connected component extraction
 ========================================================
 
 A lesion is a connected clump of foreground pixels.  Extraction finds every
-clump, its pixel count, bounding box and seed pixel (the top-left-most
-member), using 8-connectivity: pixels touching diagonally belong together.
+clump and its pixel count, using 8-connectivity: pixels touching diagonally
+belong together.
 """
 
 import numpy as np
@@ -19,8 +19,6 @@ def show(title, art):
     for row in art:
         print("   ", row)
     print(f"    -> {len(regions)} region(s); sizes {regions.sizes()}")
-    for r in regions.regions:
-        print(f"       size={r.size:<3d} bbox={r.bbox} seed={r.seed_pixel}")
     print()
     return regions
 
@@ -60,7 +58,9 @@ print(f"random 48x48 mask at density 0.35: {len(regions)} regions, "
       f"{sum(regions.sizes())} region pixels == {int(pixels.sum())} foreground pixels")
 assert sum(regions.sizes()) == int(pixels.sum())
 
-# Regions come back sorted by seed pixel, so output order is reproducible.
-seeds = [r.seed_pixel for r in regions.regions]
-assert seeds == sorted(seeds)
-print("regions are ordered by their seed pixel (row-major)")
+# Regions are numbered in the order of their first pixel in row-major order,
+# so output order is reproducible: the runs, which come in that order, meet
+# region 0 first, then region 1, and so on.
+first_met = list(dict.fromkeys(regions.runs[0].tolist()))
+assert first_met == list(range(len(regions)))
+print("regions are numbered in the order of their first pixel (row-major)")

@@ -53,7 +53,7 @@ from .mask_io import (
     save_mask,
     write_manifest,
 )
-from .regions import Region, RegionSet, extract_regions
+from .regions import RegionSet, extract_regions
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     LESION_ORDER,
@@ -107,7 +107,6 @@ __all__ = [
     "MaskFormatError",
     "ModelFormatError",
     "PackingError",
-    "Region",
     "RegionSet",
     "SIZE_WORDS",
     "SizeThresholds",

@@ -218,7 +218,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         height=height,
         seed=args.seed,
         rule=LabelRule(args.rule),
-        thresholds=_parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS,
+        thresholds=_thresholds_from(args, {}),
     )
     manifest = generate(spec, args.out)
     print(f"wrote {args.n} images under {args.out}; manifest: {manifest}")

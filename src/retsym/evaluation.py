@@ -141,10 +141,7 @@ def extract_dataset(manifest_path: str | Path) -> list[ExtractedImage]:
     """Load every mask named by a manifest and extract its regions."""
     images = []
     for record in load_manifest(manifest_path):
-        region_sets = tuple(
-            extract_regions(load_mask(path, cls))
-            for cls, path in sorted(record.mask_paths.items(), key=lambda kv: kv[0].index)
-        )
+        region_sets = tuple(extract_regions(load_mask(path, cls)) for cls, path in record.mask_paths.items())
         label = None
         if record.labeled:
             label = GradePair(dr=record.dr_grade, dme=record.dme_grade)

@@ -529,7 +529,7 @@ def _json_text(value: object, indent: str = "") -> str:
 def _array(doc: object, section: str, key: str) -> np.ndarray:
     try:
         return np.asarray(doc[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past float range
         raise ModelFormatError(f"{section}: bad or missing {key}: {exc}") from None
 
 
@@ -551,7 +551,10 @@ def _model_from_doc(doc: object) -> GraderModel:
     except (KeyError, ValueError):
         raise ModelFormatError("bad or missing feature_mode") from None
     try:
-        thresholds = SizeThresholds(*_integers(doc["thresholds"], "thresholds"))
+        values = doc["thresholds"]
+        if not (isinstance(values, list) and len(values) == 4):
+            raise TypeError("must be a list of 4 integers")
+        thresholds = SizeThresholds(*_integers(values, "thresholds"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad thresholds: {exc}") from None
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -112,7 +113,7 @@ class LesionMask:
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One manifest row: an image id, its four mask paths, optional labels."""
+    """One manifest row: an image id, its four mask paths in LesionClass order, optional labels."""
 
     image_id: str
     mask_paths: dict[LesionClass, Path] = field(compare=False)
@@ -128,110 +129,72 @@ class ManifestRecord:
 # PGM reading
 
 
-class _PgmScanner:
-    """Tracks a byte offset while pulling header tokens from raw PGM."""
+# One header token after the PGM whitespace and comments before it; the token
+# is empty only at end of file.
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n?)*([^ \t\r\n\x0b\x0c#]*)")
 
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
-        self.path = path
-        self.pos = 0
 
-    def error(self, message: str, offset: int | None = None) -> MaskFormatError:
-        at = self.pos if offset is None else offset
-        return MaskFormatError(f"{self.path}: {message} (byte offset {at})")
-
-    def skip_space_and_comments(self) -> None:
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in _PGM_SPACE:
-                self.pos += 1
-            elif c == ord("#"):
-                nl = data.find(b"\n", self.pos)
-                self.pos = n if nl == -1 else nl + 1
-            else:
-                return
-
-    def next_token(self, what: str) -> tuple[bytes, int]:
-        self.skip_space_and_comments()
-        if self.pos >= len(self.data):
-            raise self.error(f"unexpected end of file while reading {what}")
-        start = self.pos
-        data = self.data
-        n = len(data)
-        while self.pos < n and data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        return data[start : self.pos], start
-
-    def next_uint(self, what: str) -> int:
-        token, start = self.next_token(what)
-        if not token.isdigit():
-            raise self.error(f"expected unsigned integer for {what}, got {token!r}", start)
-        return int(token)
+def _pgm_error(path: Path, message: str, offset: int) -> MaskFormatError:
+    return MaskFormatError(f"{path}: {message} (byte offset {offset})")
 
 
 def _read_pgm(path: Path) -> np.ndarray:
     """Read a PGM file (P2 or P5, maxval <= 255) into a uint8 (H, W) array."""
     data = path.read_bytes()
-    scanner = _PgmScanner(data, path)
-
-    magic, magic_off = scanner.next_token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise scanner.error(f"not a P2/P5 PGM file, magic {magic!r}", magic_off)
-
-    width = scanner.next_uint("width")
-    height = scanner.next_uint("height")
-    if width == 0 or height == 0:
-        raise scanner.error(f"zero dimension: width={width} height={height}")
-    maxval = scanner.next_uint("maxval")
+    pos, header = 0, []  # the magic number, then width, height and maxval as ints
+    for what in ("magic number", "width", "height", "maxval"):
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match.group(1), match.end()
+        if not token:
+            raise _pgm_error(path, f"unexpected end of file while reading {what}", len(data))
+        if not header and token not in (b"P2", b"P5"):
+            raise _pgm_error(path, f"not a P2/P5 PGM file, magic {token!r}", match.start(1))
+        if header and not token.isdigit():
+            raise _pgm_error(path, f"expected unsigned integer for {what}, got {token!r}", match.start(1))
+        header.append(int(token) if header else token)
+        if what == "height" and 0 in header[1:]:  # checked before maxval is read
+            raise _pgm_error(path, f"zero dimension: width={header[1]} height={header[2]}", pos)
+    magic, width, height, maxval = header
     if maxval == 0:
-        raise scanner.error("maxval must be at least 1")
+        raise _pgm_error(path, "maxval must be at least 1", pos)
     if maxval > 255:
-        raise scanner.error(f"maxval {maxval} exceeds 255 (wide samples unsupported)")
+        raise _pgm_error(path, f"maxval {maxval} exceeds 255 (wide samples unsupported)", pos)
 
     count = width * height
     if magic == b"P2":
-        return _read_p2_samples(scanner, maxval, count).reshape(height, width)
+        return _read_p2_samples(data, pos, path, maxval, count).reshape(height, width)
     # Exactly one whitespace byte separates the header from the payload.
-    if scanner.pos >= len(data) or data[scanner.pos] not in _PGM_SPACE:
-        raise scanner.error("missing whitespace after maxval")
-    scanner.pos += 1
-    found = len(data) - scanner.pos
+    if pos >= len(data) or data[pos] not in _PGM_SPACE:
+        raise _pgm_error(path, "missing whitespace after maxval", pos)
+    pos += 1
+    found = len(data) - pos
     if found < count:
-        raise scanner.error(
-            f"truncated payload: expected {count} bytes, found {found}", len(data)
-        )
+        raise _pgm_error(path, f"truncated payload: expected {count} bytes, found {found}", len(data))
     if found > count:
-        raise scanner.error(
-            f"unexpected trailing data: expected {count} payload bytes, found {found}",
-            scanner.pos + count,
+        raise _pgm_error(
+            path, f"unexpected trailing data: expected {count} payload bytes, found {found}", pos + count
         )
-    flat = np.frombuffer(data, dtype=np.uint8, offset=scanner.pos)
+    flat = np.frombuffer(data, dtype=np.uint8, offset=pos)
     over = np.flatnonzero(flat > maxval) if maxval < 255 else ()  # no uint8 exceeds 255
     if len(over):
         bad = int(over[0])
-        raise scanner.error(
-            f"sample value {int(flat[bad])} exceeds maxval {maxval}",
-            len(data) - count + bad,
-        )
+        raise _pgm_error(path, f"sample value {int(flat[bad])} exceeds maxval {maxval}", pos + bad)
     return flat.reshape(height, width)
 
 
-def _read_p2_samples(scanner: _PgmScanner, maxval: int, count: int) -> np.ndarray:
-    """Parse the P2 samples after ``maxval`` in one numpy pass over the bytes.
+def _read_p2_samples(data: bytes, base: int, path: Path, maxval: int, count: int) -> np.ndarray:
+    """Parse the P2 samples from byte ``base`` on in one numpy pass over the bytes.
 
     A token is a run of bytes that are neither PGM whitespace nor inside a
     comment (``#`` to the end of its line).  Each token must be ASCII digits
     with a value <= ``maxval``; errors name the offending token's first byte.
     """
-    data, base = scanner.data, scanner.pos
     # Each sample needs at least a separator and a digit; checking that
     # before allocating keeps a forged header from sizing the buffers.
     if len(data) - base < 2 * count:
-        raise scanner.error(
-            f"truncated samples: {count} samples need at least {2 * count} bytes, "
-            f"found {len(data) - base}",
+        raise _pgm_error(
+            path,
+            f"truncated samples: {count} samples need at least {2 * count} bytes, found {len(data) - base}",
             len(data),
         )
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -278,14 +241,14 @@ def _read_p2_samples(scanner: _PgmScanner, maxval: int, count: int) -> np.ndarra
     if over.size:
         at, text = token(int(over[0]))
         value = text.lstrip(b"0").decode() or "0"
-        raise scanner.error(f"sample value {value} exceeds maxval {maxval}", at)
+        raise _pgm_error(path, f"sample value {value} exceeds maxval {maxval}", at)
     if bad_token < min(n_tokens, count):
         at, text = token(bad_token)
-        raise scanner.error(f"expected unsigned integer for sample value, got {text!r}", at)
+        raise _pgm_error(path, f"expected unsigned integer for sample value, got {text!r}", at)
     if n_tokens < count:
-        raise scanner.error("unexpected end of file while reading sample value", len(data))
+        raise _pgm_error(path, "unexpected end of file while reading sample value", len(data))
     if n_tokens > count:
-        raise scanner.error("unexpected trailing data after samples", token(count)[0])
+        raise _pgm_error(path, "unexpected trailing data after samples", token(count)[0])
     return values.astype(np.uint8)
 
 

@@ -18,45 +18,16 @@ Foreground pixels are grouped under 8-connectivity by run-based labeling
 
 Regions are numbered by their first run in raster order, which is the order
 of their seed pixels, so identical masks always produce identical region
-lists.  A :class:`RegionSet` keeps the runs and the region sizes as arrays;
-the per-region :class:`Region` objects, with bounding box and seed pixel,
-are built only when :attr:`RegionSet.regions` is read.
+lists.  A :class:`RegionSet` is the region sizes plus the runs, as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .mask_io import LesionClass, LesionMask
-
-
-@dataclass(frozen=True)
-class Region:
-    """One 8-connected foreground component.
-
-    ``size`` is its pixel count, ``bbox`` the inclusive (min_row, min_col,
-    max_row, max_col) bounds, ``seed_pixel`` its lexicographically smallest
-    (row, col) member.
-    """
-
-    size: int
-    bbox: tuple[int, int, int, int]
-    seed_pixel: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"region size must be >= 1, got {self.size}")
-        r0, c0, r1, c1 = self.bbox
-        if r1 < r0 or c1 < c0:
-            raise ValueError(f"degenerate bbox {self.bbox}")
-        if (r1 - r0 + 1) * (c1 - c0 + 1) < self.size:
-            raise ValueError(f"bbox {self.bbox} too small for {self.size} pixels")
-        sr, sc = self.seed_pixel
-        if not (r0 <= sr <= r1 and c0 <= sc <= c1):
-            raise ValueError(f"seed pixel {self.seed_pixel} outside bbox {self.bbox}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,26 +48,6 @@ class RegionSet:
 
     def __len__(self) -> int:
         return len(self.size_array)
-
-    @cached_property
-    def regions(self) -> tuple[Region, ...]:
-        """One validated :class:`Region` per region, in seed-pixel order."""
-        # Raster order meets each region first at its seed run, so the dict
-        # keeps region order; later runs can only widen or lower the box.
-        boxes: dict[int, list[int]] = {}  # region -> [r0, c0, r1, c1, seed col]
-        for region, row, first, length in zip(*self.runs.tolist()):
-            last = first + length - 1
-            box = boxes.get(region)
-            if box is None:
-                boxes[region] = [row, first, row, last, first]
-                continue
-            box[1] = min(box[1], first)
-            box[2] = row
-            box[3] = max(box[3], last)
-        return tuple(
-            Region(size=size, bbox=(r0, c0, r1, c1), seed_pixel=(r0, sc))
-            for size, (r0, c0, r1, c1, sc) in zip(self.sizes(), boxes.values())
-        )
 
 
 def _union_find(

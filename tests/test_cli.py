@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import retsym
@@ -179,6 +179,60 @@ def test_nan_weight_model_is_rejected(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "p.csv")]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section,place",
+    [
+        ("trunk layer 0", lambda doc: (doc["trunk"][0]["weights"][0], 0)),
+        ("dr_head", lambda doc: (doc["dr_head"]["bias"], 0)),
+        ("preprocess", lambda doc: (doc["preprocess"]["shift"], 0)),
+    ],
+    ids=["weights", "bias", "shift"],
+)
+def test_model_integer_past_float_range_is_rejected(pipeline, tmp_path, capsys, section, place):
+    doc = json.loads((pipeline / "model.json").read_text())
+    values, index = place(doc)
+    values[index] = 10**400  # json writes its digits and reads back an int
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"{section}: bad or missing"):
+        load_model(bad_model)
+    assert main(["predict", "--model", str(bad_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert f"{section}: bad or missing" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "thresholds", [[10, 500, 1000], [10, 500, 1000, 10000, 20000]], ids=["three", "five"]
+)
+def test_model_thresholds_must_be_four(pipeline, tmp_path, capsys, thresholds):
+    doc = json.loads((pipeline / "model.json").read_text())
+    doc["thresholds"] = thresholds
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="thresholds: must be a list of 4 integers"):
+        load_model(bad_model)
+    assert main(["predict", "--model", str(bad_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "must be a list of 4 integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "extract", "train", "ablation"])
+def test_empty_thresholds_flag_exits_2(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--out", str(out), "--n", "2", "--canvas", "64x64"],
+        "extract": ["extract", "--manifest", str(pipeline / "data" / "manifest.csv"), "--out", str(out)],
+        "train": ["train", "--features", str(pipeline / "features.csv"), "--out", str(out)],
+        "ablation": ["ablation", "--manifest", str(pipeline / "data" / "manifest.csv")],
+    }[command]
+    assert main(args + ["--thresholds", ""]) == 2
+    assert "--thresholds needs 4 comma-separated integers, got ''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -556,6 +610,61 @@ def test_hostile_manifest_exits_0_or_2(pipeline, capsys, data):
     ):
         assert main(args) in (0, 2), args
         assert "codec can't decode" not in capsys.readouterr().err
+
+
+# JSON text that no model writer produces: integers and a literal past the
+# float range, the non-finite tokens, every other JSON type, lists of three
+# and five numbers, and nesting past the parser's recursion limit.
+_HOSTILE_JSON = st.sampled_from([
+    "1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN", "Infinity", "-Infinity",
+    '"x"', '"12"', "{}", '{"weights": [[1]]}', "[]", "[[]]", "[1, 2, 3]", "[1, 2, 3, 4, 5]",
+    "null", "true", "false", "0", "-1", "0.5", "[" * 100_000 + "]" * 100_000,
+])
+
+
+def _hostile_model_text(model_text, steps, raw, duplicate):
+    """Model JSON with one node replaced by the JSON text ``raw``, or with its
+    key repeated after the others, holding ``raw``.  Each step picks a child:
+    a string by key, an integer by position (modulo the child count); the
+    walk stops early at a leaf or an empty container."""
+    doc = json.loads(model_text)
+    parent, key, node = None, None, doc
+    for step in steps:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = step if isinstance(step, str) else keys[step % len(keys)]
+        parent, node = node, node[key]
+    marker = "@hostile@"
+    if parent is None:
+        return raw
+    if duplicate and isinstance(parent, dict):
+        parent[marker] = marker
+        return json.dumps(doc).replace(f'"{marker}": "{marker}"', f"{json.dumps(key)}: {raw}")
+    parent[key] = marker
+    return json.dumps(doc).replace(f'"{marker}"', raw)
+
+
+@_HYPOTHESIS_CLI
+@given(steps=st.lists(st.integers(0, 999), max_size=5), raw=_HOSTILE_JSON, duplicate=st.booleans())
+@example(steps=["trunk", 0, "weights", 0, 0], raw="1" + "0" * 400, duplicate=False)
+@example(steps=["thresholds"], raw="[10, 500, 1000]", duplicate=False)
+def test_hostile_model_json_exits_0_or_2(pipeline, capsys, steps, raw, duplicate):
+    path = pipeline / "hostile_model.json"
+    text = _hostile_model_text((pipeline / "model.json").read_text(), steps, raw, duplicate)
+    path.write_text(text)
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        pass
+    else:  # a model that loads holds its file's integer fields; none is filled in
+        doc = json.loads(text)
+        assert list(model.thresholds.as_tuple()) == doc["thresholds"]
+        assert (list(model.trunk_dims), model.seed) == (doc["trunk_dims"], doc.get("seed"))
+    rc = main(["predict", "--model", str(path), "--features", str(pipeline / "features.csv"),
+               "--out", str(pipeline / "hostile_out")])
+    assert rc in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_thresholds_flag_changes_features(pipeline, tmp_path):

@@ -1,8 +1,4 @@
-"""The walkthrough demos run to completion against the package in ``src/``.
-
-Demo 02 prints each region's bounding box and seed pixel, so it reads the
-geometry that :class:`retsym.RegionSet` builds only on demand.
-"""
+"""The walkthrough demos run to completion against the package in ``src/``."""
 
 import os
 import subprocess

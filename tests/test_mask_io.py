@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,7 @@ from retsym import (
     write_manifest,
 )
 from retsym.cli import main
-from retsym.mask_io import BINARIZE_THRESHOLD, _PgmScanner, _read_pgm
+from retsym.mask_io import BINARIZE_THRESHOLD, _read_pgm
 
 from conftest import mask_from_ascii
 
@@ -195,44 +197,62 @@ def test_p5_payload_is_read_after_the_header(tmp_path):
 
 
 def _scan_p2_reference(path):
-    """Read a P2 file one token at a time with ``_PgmScanner``.
+    """Read a P2 file one token at a time in plain Python.
 
-    This is the per-sample reader that the numpy pass replaced, with one
-    change: a sample above maxval is reported at its own first byte.
+    A token is a run of bytes that are neither PGM whitespace nor ``#``; a
+    comment runs from ``#`` to the end of its line.  This is the per-sample
+    reader that the numpy pass replaced, with one change: a sample above
+    maxval is reported at its own first byte.
     """
     data = path.read_bytes()
-    scanner = _PgmScanner(data, path)
-    magic, magic_off = scanner.next_token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise scanner.error(f"not a P2/P5 PGM file, magic {magic!r}", magic_off)
-    width = scanner.next_uint("width")
-    height = scanner.next_uint("height")
+    tokens = [
+        (m.start(), m.group())
+        for m in re.finditer(rb"#[^\n]*|[^ \t\r\n\x0b\x0c#]+", data)
+        if not m.group().startswith(b"#")
+    ]
+
+    def error(message, offset):
+        return MaskFormatError(f"{path}: {message} (byte offset {offset})")
+
+    def uint(k, what):
+        if k >= len(tokens):
+            raise error(f"unexpected end of file while reading {what}", len(data))
+        at, text = tokens[k]
+        if not text.isdigit():
+            raise error(f"expected unsigned integer for {what}, got {text!r}", at)
+        return int(text)
+
+    def end(k):
+        return tokens[k][0] + len(tokens[k][1])
+
+    if not tokens:
+        raise error("unexpected end of file while reading magic number", len(data))
+    if tokens[0][1] not in (b"P2", b"P5"):
+        raise error(f"not a P2/P5 PGM file, magic {tokens[0][1]!r}", tokens[0][0])
+    width, height = uint(1, "width"), uint(2, "height")
     if width == 0 or height == 0:
-        raise scanner.error(f"zero dimension: width={width} height={height}")
-    maxval = scanner.next_uint("maxval")
+        raise error(f"zero dimension: width={width} height={height}", end(2))
+    maxval = uint(3, "maxval")
     if maxval == 0:
-        raise scanner.error("maxval must be at least 1")
+        raise error("maxval must be at least 1", end(3))
     if maxval > 255:
-        raise scanner.error(f"maxval {maxval} exceeds 255 (wide samples unsupported)")
+        raise error(f"maxval {maxval} exceeds 255 (wide samples unsupported)", end(3))
     count = width * height
-    if len(data) - scanner.pos < 2 * count:
-        raise scanner.error(
+    if len(data) - end(3) < 2 * count:
+        raise error(
             f"truncated samples: {count} samples need at least {2 * count} bytes, "
-            f"found {len(data) - scanner.pos}",
+            f"found {len(data) - end(3)}",
             len(data),
         )
-    samples = np.empty(count, dtype=np.uint8)
-    for k in range(count):
-        scanner.skip_space_and_comments()
-        offset = scanner.pos
-        value = scanner.next_uint("sample value")
+    samples = []
+    for k in range(4, 4 + count):
+        value = uint(k, "sample value")
         if value > maxval:
-            raise scanner.error(f"sample value {value} exceeds maxval {maxval}", offset)
-        samples[k] = value
-    scanner.skip_space_and_comments()
-    if scanner.pos < len(data):
-        raise scanner.error("unexpected trailing data after samples")
-    return samples.reshape(height, width)
+            raise error(f"sample value {value} exceeds maxval {maxval}", tokens[k][0])
+        samples.append(value)
+    if len(tokens) > 4 + count:
+        raise error("unexpected trailing data after samples", tokens[4 + count][0])
+    return np.array(samples, dtype=np.uint8).reshape(height, width)
 
 
 # Valid P2 files: header comments, a comment between samples, a comment

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retsym import LesionClass, LesionMask, Region, extract_regions
+from retsym import LesionClass, LesionMask, extract_regions
 from retsym.regions import (
     _NUMPY_MERGE_MIN_LINKS,
     _hook_and_shortcut,
@@ -19,15 +19,33 @@ def _mask(pixels):
     return LesionMask(np.asarray(pixels, dtype=bool), LesionClass.MA)
 
 
+def _assert_matches_flood_fill(pixels):
+    """Paint region + 1 on the pixels of each run and require the flood-fill
+    components numbered 1, 2, ... in seed-pixel order: one comparison checks
+    which pixels each region holds, that the regions partition the
+    foreground, and their order.  Returns the extracted set."""
+    pixels = np.asarray(pixels, dtype=bool)
+    rs = extract_regions(_mask(pixels))
+    got = np.zeros(pixels.shape, dtype=np.int64)
+    for region, row, first, length in rs.runs.T.tolist():
+        got[row, first : first + length] = region + 1
+    components = sorted(flood_fill_components(pixels), key=min)
+    want = np.zeros(pixels.shape, dtype=np.int64)
+    for number, component in enumerate(components, 1):
+        for r, c in component:
+            want[r, c] = number
+    assert np.array_equal(got, want)
+    assert rs.sizes() == [len(c) for c in components]
+    return rs
+
+
 def test_empty_mask_has_no_regions():
     assert len(extract_regions(_mask(np.zeros((8, 8))))) == 0
 
 
 def test_full_mask_is_one_region():
-    rs = extract_regions(_mask(np.ones((5, 7))))
+    rs = _assert_matches_flood_fill(np.ones((5, 7)))
     assert rs.sizes() == [35]
-    assert rs.regions[0].bbox == (0, 0, 4, 6)
-    assert rs.regions[0].seed_pixel == (0, 0)
 
 
 def test_two_corner_blocks():
@@ -40,9 +58,8 @@ def test_two_corner_blocks():
         ....##
         """
     )
-    rs = extract_regions(mask)
+    rs = _assert_matches_flood_fill(mask.pixels)
     assert rs.sizes() == [4, 4]
-    assert [r.seed_pixel for r in rs.regions] == [(0, 0), (3, 4)]
 
 
 def test_diagonal_touch_is_connected():
@@ -77,11 +94,8 @@ def test_single_pixel_regions():
         #.#.#
         """
     )
-    rs = extract_regions(mask)
+    rs = _assert_matches_flood_fill(mask.pixels)
     assert rs.sizes() == [1] * 6
-    assert [r.bbox for r in rs.regions] == [
-        (r, c, r, c) for r, c in [(0, 0), (0, 2), (0, 4), (2, 0), (2, 2), (2, 4)]
-    ]
 
 
 def test_u_shape_merges_late():
@@ -94,9 +108,8 @@ def test_u_shape_merges_late():
         ###
         """
     )
-    rs = extract_regions(mask)
+    rs = _assert_matches_flood_fill(mask.pixels)
     assert rs.sizes() == [7]
-    assert rs.regions[0].bbox == (0, 0, 2, 2)
 
 
 def test_spiral_single_region():
@@ -123,38 +136,17 @@ def test_exhaustive_4x4_against_flood_fill():
         pixels = bits.astype(bool).reshape(4, 4)
         got = extract_regions(_mask(pixels))
         want = flood_fill_components(pixels)
-        assert len(got) == len(want), f"pattern {code:04x}"
-        assert [r.size for r in got.regions] == [len(c) for c in want], f"pattern {code:04x}"
+        # The oracle finds components in raster order, so in seed order.
+        assert got.sizes() == [len(c) for c in want], f"pattern {code:04x}"
 
 
 def test_random_masks_match_flood_fill_oracle():
     rng = np.random.default_rng(77)
-    for trial in range(300):
+    for _ in range(300):
         h, w = rng.integers(1, 48, size=2)
         density = rng.uniform(0.05, 0.6)
         pixels = rng.random((h, w)) < density
-        rs = extract_regions(_mask(pixels))
-        components = flood_fill_components(pixels)
-        assert sorted(rs.sizes()) == sorted(len(c) for c in components), f"trial {trial}"
-        # same decomposition, not just the same size multiset: compare the
-        # sorted pixel sets via each region's seed pixel
-        seeds = {min(c): frozenset(c) for c in components}
-        for region in rs.regions:
-            component = seeds[region.seed_pixel]
-            assert region.size == len(component)
-            rows = [p[0] for p in component]
-            cols = [p[1] for p in component]
-            assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
-
-
-def _oracle_regions(pixels):
-    """(size, bbox, seed pixel) of every flood-fill component, in seed order."""
-    out = []
-    for component in flood_fill_components(pixels):
-        rows = [p[0] for p in component]
-        cols = [p[1] for p in component]
-        out.append((len(component), (min(rows), min(cols), max(rows), max(cols)), min(component)))
-    return sorted(out, key=lambda region: region[2])
+        _assert_matches_flood_fill(pixels)
 
 
 def _serpentine(side):
@@ -185,10 +177,7 @@ def _alternating(shape):
          "alternating-1000x1"],
 )
 def test_large_masks_match_flood_fill_oracle(pixels):
-    rs = extract_regions(_mask(pixels))
-    want = _oracle_regions(pixels)
-    assert [(r.size, r.bbox, r.seed_pixel) for r in rs.regions] == want
-    assert rs.sizes() == [region[0] for region in want]
+    _assert_matches_flood_fill(pixels)
 
 
 def _links_reference(pixels):
@@ -249,54 +238,6 @@ def test_partition_invariant():
         assert sum(rs.sizes()) == int(pixels.sum())
 
 
-def _region_pixels(mask: LesionMask, region: Region) -> np.ndarray:
-    """Boolean image of the single region containing ``region.seed_pixel``.
-
-    Re-grows the component from its seed by iterative dilation within the
-    region's bounding box; used to check connectivity soundness.
-    """
-    r0, c0, r1, c1 = region.bbox
-    window = mask.pixels[r0 : r1 + 1, c0 : c1 + 1]
-    grown = np.zeros_like(window)
-    grown[region.seed_pixel[0] - r0, region.seed_pixel[1] - c0] = True
-    while True:
-        padded = np.pad(grown, 1)
-        neighbors = (
-            padded[:-2, :-2] | padded[:-2, 1:-1] | padded[:-2, 2:]
-            | padded[1:-1, :-2] | padded[1:-1, 1:-1] | padded[1:-1, 2:]
-            | padded[2:, :-2] | padded[2:, 1:-1] | padded[2:, 2:]
-        )
-        next_grown = neighbors & window
-        if np.array_equal(next_grown, grown):
-            break
-        grown = next_grown
-    out = np.zeros_like(mask.pixels)
-    out[r0 : r1 + 1, c0 : c1 + 1] = grown
-    return out
-
-
-def test_connectivity_soundness_by_regrowth():
-    rng = np.random.default_rng(9)
-    mask = _mask(rng.random((40, 40)) < 0.35)
-    rs = extract_regions(mask)
-    covered = np.zeros_like(mask.pixels)
-    for region in rs.regions:
-        grown = _region_pixels(mask, region)
-        assert int(grown.sum()) == region.size
-        assert not (grown & covered).any(), "regions overlap"
-        covered |= grown
-    assert np.array_equal(covered, mask.pixels)
-
-
-def test_regions_sorted_by_seed():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        pixels = rng.random((25, 25)) < 0.3
-        rs = extract_regions(_mask(pixels))
-        seeds = [r.seed_pixel for r in rs.regions]
-        assert seeds == sorted(seeds)
-
-
 def test_transpose_permutes_sizes():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -304,15 +245,6 @@ def test_transpose_permutes_sizes():
         a = extract_regions(_mask(pixels))
         b = extract_regions(_mask(pixels.T))
         assert sorted(a.sizes()) == sorted(b.sizes())
-
-
-def test_region_validation():
-    with pytest.raises(ValueError):
-        Region(size=0, bbox=(0, 0, 0, 0), seed_pixel=(0, 0))
-    with pytest.raises(ValueError):
-        Region(size=1, bbox=(0, 0, 0, 0), seed_pixel=(1, 1))
-    with pytest.raises(ValueError):
-        Region(size=1, bbox=(2, 0, 1, 0), seed_pixel=(2, 0))
 
 
 def test_lesion_class_carried_through():

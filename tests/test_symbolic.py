@@ -7,7 +7,6 @@ from retsym import (
     FeatureVector,
     FeaturesCsvError,
     LesionClass,
-    Region,
     RegionSet,
     SizeThresholds,
     extended_features,
@@ -80,15 +79,6 @@ def test_extended_features_partitions_sizes():
     ]
     for size, counts in zip(sizes, expected):
         assert extended_features(_sets(he=[size])).values[3:6] == counts, size
-
-
-def test_region_set_regions_follow_its_runs():
-    rs = _region_set(LesionClass.HE, [3, 1])
-    assert len(rs) == 2 and rs.sizes() == [3, 1]
-    assert rs.regions == (
-        Region(size=3, bbox=(0, 0, 0, 2), seed_pixel=(0, 0)),
-        Region(size=1, bbox=(1, 0, 1, 0), seed_pixel=(1, 0)),
-    )
 
 
 def test_simple_counts_everything():
