@@ -18,7 +18,6 @@ run does not leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -45,7 +44,7 @@ from .grader import (
     save_model,
     train,
 )
-from .mask_io import MANIFEST_COLUMNS, load_manifest, read_csv, read_text
+from .mask_io import MANIFEST_COLUMNS, load_manifest, read_csv, read_text, write_csv
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
@@ -74,10 +73,7 @@ def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
 
 
 def write_predictions_csv(path: str | Path, rows: Sequence[tuple[str, GradePair]]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTIONS_COLUMNS)
-        writer.writerows((image_id, pair.dr, pair.dme) for image_id, pair in rows)
+    write_csv(path, PREDICTIONS_COLUMNS, ((image_id, pair.dr, pair.dme) for image_id, pair in rows))
 
 
 def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:

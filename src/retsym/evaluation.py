@@ -22,7 +22,7 @@ from .grader import (
     predict_batch,
     train,
 )
-from .mask_io import load_manifest, load_mask
+from .mask_io import load_manifest, load_mask, write_csv
 from .regions import RegionSet, extract_regions
 from .symbolic import (
     DEFAULT_THRESHOLDS,
@@ -113,15 +113,12 @@ def format_report(report: EvalReport, title: Optional[str] = None) -> str:
 
 def write_report_csv(path: str | Path, reports: Sequence[tuple[str, EvalReport]]) -> None:
     """Write one CSV row per named report (confusion matrices are not included)."""
-    lines = [",".join(REPORT_COLUMNS)]
-    for arm, report in reports:
+    for arm, _ in reports:
         if "," in arm or "\n" in arm:
             raise ValueError(f"report name {arm!r} must not contain commas or newlines")
-        lines.append(
-            f"{arm},{report.n_samples},{report.joint_accuracy!r},"
-            f"{report.dr_accuracy!r},{report.dme_accuracy!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, REPORT_COLUMNS, (
+        (arm, r.n_samples, r.joint_accuracy, r.dr_accuracy, r.dme_accuracy) for arm, r in reports
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,6 @@ def train(
     best_val = np.inf
     best_flat = flat.copy()
     best_epoch = 0
-    epochs_since_best = 0
-    epochs_run = 0
 
     n_train = len(train_idx)
     for epoch in range(1, config.max_epochs + 1):
@@ -424,16 +422,12 @@ def train(
         # [:2] drops the cache, so no forward pass outlives its epoch.
         dr_p, dme_p = _forward_batch(params, n_trunk, x_val)[:2]
         val_loss = _mean_loss(dr_p, dme_p, y_dr_val, y_dme_val)
-        epochs_run = epoch
         if val_loss < best_val:
             best_val = val_loss
             best_flat[...] = flat
             best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
     if not np.isfinite(best_val):
         raise ValueError(f"no epoch reached a finite validation loss (learning_rate {config.learning_rate})")
 
@@ -446,7 +440,7 @@ def train(
         scale=scale,
         seed=config.seed,
         training_meta={
-            "epochs_run": epochs_run,
+            "epochs_run": epoch,  # max_epochs >= 1, so the loop ran
             "best_epoch": best_epoch,
             "best_val_loss": best_val,
             "train_size": int(n_train),
@@ -527,10 +521,17 @@ def _json_text(value: object, indent: str = "") -> str:
 
 
 def _array(doc: object, section: str, key: str) -> np.ndarray:
+    """``doc[key]`` as floats.  Its entries must be JSON numbers: numpy would
+    read the string ``"12"`` as 12.0 and ``true`` as 1.0."""
     try:
-        return np.asarray(doc[key], dtype=np.float64)
+        value = doc[key]
+        arr = np.asarray(value, dtype=np.float64)
+        rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []  # other shapes fail later
+        if not all(set(map(type, row)) <= {int, float} for row in rows):
+            raise TypeError("entries must be numbers")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past float range
         raise ModelFormatError(f"{section}: bad or missing {key}: {exc}") from None
+    return arr
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -544,7 +545,7 @@ def _model_from_doc(doc: object) -> GraderModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("expected a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, not 1.0
         raise ModelFormatError(f"unknown format_version {version!r}")
     try:
         mode = FeatureMode(doc["feature_mode"])

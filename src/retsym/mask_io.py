@@ -1,11 +1,14 @@
-"""Binary lesion-mask I/O, the dataset manifest, and the one CSV reader.
+"""Binary lesion-mask I/O, the dataset manifest, and the one CSV reader and writer.
 
 Masks are single-channel PGM rasters (P2 ASCII or P5 binary, maxval <= 255).
 A P2 sample is a token of ASCII digits (leading zeros allowed); ``#`` comments
-run to end of line anywhere between tokens, and error offsets name the
-offending token.  A pixel is lesion foreground iff its sample value exceeds
-127.  The manifest is a CSV binding four per-class mask files and an optional
-(DR, DME) label pair to each image id; :func:`read_csv` reads every CSV input.
+run to end of line anywhere between tokens.  P2 samples go through numpy's
+text parser once comments are blanked out; a file it cannot read is scanned
+token by token, and the error's offset names the offending token.  A pixel is
+lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
+binding four per-class mask files and an optional (DR, DME) label pair to each
+image id; :func:`read_csv` reads every CSV input and :func:`write_csv` writes
+every CSV output.
 """
 
 from __future__ import annotations
@@ -16,17 +19,13 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 BINARIZE_THRESHOLD = 127  # sample value must exceed this to count as lesion
 
 _PGM_SPACE = b" \t\r\n\x0b\x0c"
-_IS_TOKEN_BYTE = np.ones(256, dtype=bool)
-_IS_TOKEN_BYTE[list(_PGM_SPACE)] = False
-_IS_DIGIT = np.zeros(256, dtype=bool)
-_IS_DIGIT[list(b"0123456789")] = True
 # P2 output for a sample, indexed by [last in its row, foreground]: the value,
 # then " " or a newline, NUL-padded to four bytes.
 _P2_CELLS = np.frombuffer(b"0 \x00\x00255 0\n\x00\x00255\n", dtype=np.uint8).reshape(2, 2, 4)
@@ -183,84 +182,43 @@ def _read_pgm(path: Path) -> np.ndarray:
 
 
 def _read_p2_samples(data: bytes, base: int, path: Path, maxval: int, count: int) -> np.ndarray:
-    """Parse the P2 samples from byte ``base`` on in one numpy pass over the bytes.
+    """Parse the P2 samples from byte ``base`` on.
 
-    A token is a run of bytes that are neither PGM whitespace nor inside a
-    comment (``#`` to the end of its line).  Each token must be ASCII digits
-    with a value <= ``maxval``; errors name the offending token's first byte.
+    With comments blanked out, text of only digits and PGM whitespace goes to
+    numpy's text parser.  Text that it does not read as ``count`` samples
+    <= ``maxval`` is scanned one token at a time for its first fault, which
+    names the offending token's first byte.
     """
-    # Each sample needs at least a separator and a digit; checking that
-    # before allocating keeps a forged header from sizing the buffers.
+    # Each sample needs at least a separator and a digit, so a forged header
+    # that declares more samples than the file can hold fails before parsing.
     if len(data) - base < 2 * count:
         raise _pgm_error(
             path,
             f"truncated samples: {count} samples need at least {2 * count} bytes, found {len(data) - base}",
             len(data),
         )
-    raw = np.frombuffer(data, dtype=np.uint8)
-    section = raw[base:]
-    # flags[3 + i] marks section[i] as part of a token; the three False in
-    # front let every token look back three bytes without leaving the array.
-    flags = np.zeros(len(section) + 3, dtype=bool)
-    in_token = flags[3:]
-    in_token[:] = _IS_TOKEN_BYTE[section]
-    if data.find(b"#", base) != -1:
-        in_token &= ~_after_last(section == ord("#"), section == ord("\n"))
-    last = np.flatnonzero(in_token & np.diff(in_token, append=False))  # each token's last byte
-    n_tokens = len(last)
-
-    def token(k: int) -> tuple[int, bytes]:
-        """Token k's offset in ``data`` and its bytes; section[0] is never in one."""
-        start = base + int(np.flatnonzero(~in_token[: last[k]])[-1]) + 1
-        return start, data[start : base + int(last[k]) + 1]
-
-    non_digit = np.flatnonzero(in_token > _IS_DIGIT[section])  # token bytes but not digits
-    bad_token = int(np.searchsorted(last, non_digit[0])) if non_digit.size else n_tokens
-
-    # Per token, the byte k before its last one as a digit (other bytes wrap
-    # to >= 10) and whether that byte is in the token (False for header bytes).
-    def digit(k: int) -> np.ndarray:
-        return raw[base - k :][last] - np.uint8(ord("0"))
-
-    def flag(k: int) -> np.ndarray:
-        return flags[3 - k :][last]
-
-    # A token's value from its last three digits.  A longer token is zero
-    # padded or out of range; one out of range is marked 1000 > maxval.
-    values = digit(0).astype(np.uint16)
-    two = flag(1)
-    values += two * digit(1) * np.uint16(10)
-    three = two & flag(2)
-    values += three * digit(2) * np.uint16(100)
-    longer = three & flag(3)
-    if longer.any():
-        high_digit = _after_last(in_token & (section != ord("0")), ~in_token)
-        values[longer] = np.where(high_digit[last[longer] - 3], 1000, values[longer])
-
-    over = np.flatnonzero(values[: min(bad_token, count)] > maxval)
-    if over.size:
-        at, text = token(int(over[0]))
-        value = text.lstrip(b"0").decode() or "0"
-        raise _pgm_error(path, f"sample value {value} exceeds maxval {maxval}", at)
-    if bad_token < min(n_tokens, count):
-        at, text = token(bad_token)
-        raise _pgm_error(path, f"expected unsigned integer for sample value, got {text!r}", at)
-    if n_tokens < count:
-        raise _pgm_error(path, "unexpected end of file while reading sample value", len(data))
-    if n_tokens > count:
-        raise _pgm_error(path, "unexpected trailing data after samples", token(count)[0])
-    return values.astype(np.uint8)
-
-
-def _after_last(marks: np.ndarray, resets: np.ndarray) -> np.ndarray:
-    """True where the last mark at or before a byte comes after the last reset.
-
-    With marks at ``#`` and resets at newlines, this is the comment bytes.
-    """
-    index = np.arange(len(marks))
-    last_mark = np.maximum.accumulate(np.where(marks, index, -1))
-    last_reset = np.maximum.accumulate(np.where(resets, index, -1))
-    return last_mark > last_reset
+    text = data[base:]
+    if b"#" in text:
+        text = re.sub(rb"#[^\n]*", b" ", text)
+    # numpy reads blank text as one 0, so blank text goes to the scan.
+    if not text.isspace() and not text.translate(None, b"0123456789" + _PGM_SPACE):
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        if len(values) == count and values.max() <= maxval:
+            return values.astype(np.uint8)
+    pos = base
+    for _ in range(count):
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match.group(1), match.end()
+        if not token:
+            raise _pgm_error(path, "unexpected end of file while reading sample value", len(data))
+        if not token.isdigit():
+            message = f"expected unsigned integer for sample value, got {token!r}"
+            raise _pgm_error(path, message, match.start(1))
+        digits = token.lstrip(b"0") or b"0"
+        if len(digits) > 3 or int(digits) > maxval:  # int() refuses very long digit strings
+            raise _pgm_error(path, f"sample value {digits.decode()} exceeds maxval {maxval}", match.start(1))
+    # The first count tokens are samples, so the text's fault is a token after them.
+    raise _pgm_error(path, "unexpected trailing data after samples", _PGM_TOKEN.match(data, pos).start(1))
 
 
 def load_mask(path: str | Path, lesion_class: LesionClass) -> LesionMask:
@@ -293,7 +251,7 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Text and CSV input; the manifest
+# Text and CSV input and output; the manifest
 
 
 def read_text(path: Path, error: type[ValueError], what: str) -> str:
@@ -318,6 +276,14 @@ def read_csv(path: Path, error: type[ValueError], what: str) -> list[tuple[int, 
         return [(reader.line_num, cells) for cells in reader]
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header and rows as UTF-8 CSV with LF line endings."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[int]]:
@@ -382,9 +348,12 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
 
 
 def write_manifest(path: str | Path, rows: list[dict[str, str]]) -> None:
-    """Write manifest rows (already stringified, keyed by column) with LF endings."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    """Write manifest rows (already stringified, keyed by column) with LF endings.
+
+    As with ``csv.DictWriter``, a missing column writes an empty cell and an
+    unknown one raises ``ValueError``.
+    """
+    unknown = {key for row in rows for key in row}.difference(MANIFEST_COLUMNS)
+    if unknown:
+        raise ValueError(f"manifest rows hold unknown column(s) {', '.join(map(repr, sorted(unknown)))}")
+    write_csv(path, MANIFEST_COLUMNS, ([row.get(c, "") for c in MANIFEST_COLUMNS] for row in rows))

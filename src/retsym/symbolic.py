@@ -11,7 +11,6 @@ region, single-pixel specks included.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import LesionClass, parse_grades, read_csv
+from .mask_io import LesionClass, parse_grades, read_csv, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -138,18 +137,13 @@ def features_header(mode: FeatureMode) -> list[str]:
 
 
 def write_features_csv(path: str | Path, mode: FeatureMode, rows: Sequence[FeatureRow]) -> None:
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(features_header(mode))
-        for image_id, vector, dr, dme in rows:
-            if vector.mode is not mode:
-                raise FeaturesCsvError(
-                    f"row {image_id!r} has {vector.mode.value} features in a {mode.value} file"
-                )
-            writer.writerow(
-                [image_id, *vector.values, "" if dr is None else dr, "" if dme is None else dme]
+    for image_id, vector, _, _ in rows:
+        if vector.mode is not mode:
+            raise FeaturesCsvError(
+                f"row {image_id!r} has {vector.mode.value} features in a {mode.value} file"
             )
+    # csv writes None, an absent grade, as an empty cell.
+    write_csv(path, features_header(mode), ([i, *vector.values, dr, dme] for i, vector, dr, dme in rows))
 
 
 def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:

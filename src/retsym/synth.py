@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grader import GradePair
-from .mask_io import LesionClass, LesionMask, read_csv, save_mask, write_manifest
+from .mask_io import LesionClass, LesionMask, read_csv, save_mask, write_csv, write_manifest
 from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SizeThresholds
 
 GROUND_TRUTH_COLUMNS = (
@@ -420,7 +420,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
     try:
         plans = plan_dataset(spec)
         manifest_rows = []
-        truth_lines = [",".join(GROUND_TRUTH_COLUMNS)]
+        truth_rows = []
         for plan in plans:
             row = {"image_id": plan.image_id}
             for cls in LESION_ORDER:
@@ -432,19 +432,14 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
             row["dr_grade"] = str(plan.label.dr)
             row["dme_grade"] = str(plan.label.dme)
             manifest_rows.append(row)
-            truth_lines.append(
-                ",".join(
-                    [plan.image_id]
-                    + [str(int(c)) for c in plan.bucket_counts.ravel()]
-                    + [str(plan.label.dr), str(plan.label.dme)]
-                )
-            )
+            counts = plan.bucket_counts.ravel().tolist()
+            truth_rows.append([plan.image_id, *counts, plan.label.dr, plan.label.dme])
         manifest_path = out_dir / "manifest.csv"
         written.append(manifest_path)
         write_manifest(manifest_path, manifest_rows)
         truth_path = out_dir / "ground_truth.csv"
         written.append(truth_path)
-        truth_path.write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+        write_csv(truth_path, GROUND_TRUTH_COLUMNS, truth_rows)
         return manifest_path
     except BaseException:
         for path in written:

@@ -181,19 +181,24 @@ def test_nan_weight_model_is_rejected(pipeline, tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+# The string and boolean rows: numpy's float conversion reads "12" as 12.0
+# and true as 1.0, so these entries are checked for their JSON type.
 @pytest.mark.parametrize(
-    "section,place",
+    "section,place,value",
     [
-        ("trunk layer 0", lambda doc: (doc["trunk"][0]["weights"][0], 0)),
-        ("dr_head", lambda doc: (doc["dr_head"]["bias"], 0)),
-        ("preprocess", lambda doc: (doc["preprocess"]["shift"], 0)),
+        ("trunk layer 0", lambda doc: (doc["trunk"][0]["weights"][0], 0), 10**400),
+        ("dr_head", lambda doc: (doc["dr_head"]["bias"], 0), 10**400),
+        ("preprocess", lambda doc: (doc["preprocess"]["shift"], 0), 10**400),
+        ("trunk layer 0", lambda doc: (doc["trunk"][0]["weights"][1], 2), "12"),
+        ("dme_head", lambda doc: (doc["dme_head"]["bias"], 1), True),
+        ("preprocess", lambda doc: (doc["preprocess"]["scale"], 0), "1"),
     ],
-    ids=["weights", "bias", "shift"],
+    ids=["weights", "bias", "shift", "weights-string", "bias-true", "scale-string"],
 )
-def test_model_integer_past_float_range_is_rejected(pipeline, tmp_path, capsys, section, place):
+def test_model_integer_past_float_range_is_rejected(pipeline, tmp_path, capsys, section, place, value):
     doc = json.loads((pipeline / "model.json").read_text())
     values, index = place(doc)
-    values[index] = 10**400  # json writes its digits and reads back an int
+    values[index] = value  # json writes 10**400 as its digits and reads back an int
     bad_model = tmp_path / "bad.json"
     bad_model.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=f"{section}: bad or missing"):

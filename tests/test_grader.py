@@ -540,10 +540,10 @@ def test_load_model_errors(tmp_path):
     save_model(model, path)
     doc = json.loads(path.read_text())
 
-    doc_bad = dict(doc, format_version=99)
-    path.write_text(json.dumps(doc_bad))
-    with pytest.raises(ModelFormatError, match="format_version"):
-        load_model(path)
+    for version in (99, True, 1.0, "1"):  # only the integer 1 is version 1
+        path.write_text(json.dumps(dict(doc, format_version=version)))
+        with pytest.raises(ModelFormatError, match="format_version"):
+            load_model(path)
 
     doc_bad = dict(doc)
     del doc_bad["dr_head"]

@@ -146,6 +146,10 @@ OVERSIZED_P2 = b"P2 1000000 1000000 255\n"
         (b"P5\n2 x\n255\n" + bytes(4), "integer"),
         (b"P2\n2 2\n255\n255 0 0\n", "end of file"),
         (OVERSIZED_P2, "truncated samples"),
+        # numpy's text parser reads blank text as one 0.
+        (b"P2 1 1 9 \n", "end of file"),
+        # Too many digits for int(), which the reference calls first.
+        pytest.param(b"P2 1 1 7\n" + b"9" * 5000, "exceeds maxval", id="P2 5000 nines-exceeds maxval"),
     ],
 )
 def test_malformed_pgm_raises_with_offset(tmp_path, content, fragment):
@@ -410,6 +414,14 @@ def test_manifest_round_trip(tmp_path):
         assert record.dr_grade == i % 5 and record.dme_grade == i % 3
         # relative paths resolve against the manifest's directory
         assert record.mask_paths[LesionClass.MA] == tmp_path / f"masks/img{i}_MA.pgm"
+
+
+def test_write_manifest_pads_missing_columns_and_rejects_unknown_ones(tmp_path):
+    path = tmp_path / "m.csv"
+    write_manifest(path, [{"image_id": "a", "ma_mask": "a.pgm"}])
+    assert path.read_bytes() == b"image_id,ma_mask,he_mask,se_mask,ex_mask,dr_grade,dme_grade\na,a.pgm,,,,,\n"
+    with pytest.raises(ValueError):
+        write_manifest(path, [{"image_id": "a", "grade": "1"}])
 
 
 def test_unlabeled_rows_allowed(tmp_path):
