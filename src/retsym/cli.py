@@ -29,9 +29,9 @@ from typing import Callable, Optional, Sequence
 from .evaluation import (
     ablation,
     evaluate,
-    extract_dataset,
     features_for_mode,
     format_report,
+    iter_extracted,
     write_report_csv,
 )
 from .explain import render
@@ -225,12 +225,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     doc = _load_config_file(args.config)
     thresholds = _thresholds_from(args, doc)
     mode = FeatureMode(args.mode)
-    images = extract_dataset(args.manifest)
-    vectors = features_for_mode(images, mode, thresholds)
-    rows = [
-        (img.image_id, fv, img.label.dr if img.label else None, img.label.dme if img.label else None)
-        for img, fv in zip(images, vectors)
-    ]
+    records = load_manifest(args.manifest)
+    vectors = features_for_mode(iter_extracted(records), mode, thresholds)
+    rows = [(r.image_id, fv, r.dr_grade, r.dme_grade) for r, fv in zip(records, vectors)]
     out = Path(args.out)
     _atomic_write(out, lambda tmp: write_features_csv(tmp, mode, rows))
     print(f"extracted {mode.value} features for {len(rows)} images -> {out}")

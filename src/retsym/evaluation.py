@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +22,14 @@ from .grader import (
     predict_batch,
     train,
 )
-from .mask_io import load_manifest, load_mask, write_csv
+from .mask_io import ManifestRecord, load_manifest, load_mask, write_csv
 from .regions import RegionSet, extract_regions
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
     FeatureVector,
     SizeThresholds,
-    extended_features,
-    simple_features,
+    features_of,
 )
 
 REPORT_COLUMNS = ("arm", "n", "joint_accuracy", "dr_accuracy", "dme_accuracy")
@@ -127,33 +126,44 @@ def write_report_csv(path: str | Path, reports: Sequence[tuple[str, EvalReport]]
 
 @dataclass(frozen=True)
 class ExtractedImage:
-    """Regions of all four masks of one image, plus its label when present."""
+    """Regions of all four masks of one image, plus its label when present.
+
+    A list of these holds every run of every mask; ``retsym extract`` and
+    :func:`ablation` take them one at a time from :func:`iter_extracted`.
+    """
 
     image_id: str
     region_sets: tuple[RegionSet, ...]
     label: Optional[GradePair]
 
 
+def iter_extracted(records: Iterable[ManifestRecord]) -> Iterator[ExtractedImage]:
+    """Load one image's four masks and extract their regions, image by image."""
+    for record in records:
+        label = GradePair(dr=record.dr_grade, dme=record.dme_grade) if record.labeled else None
+        yield ExtractedImage(
+            record.image_id,
+            tuple(extract_regions(load_mask(path, cls)) for cls, path in record.mask_paths.items()),
+            label,
+        )
+
+
 def extract_dataset(manifest_path: str | Path) -> list[ExtractedImage]:
-    """Load every mask named by a manifest and extract its regions."""
-    images = []
-    for record in load_manifest(manifest_path):
-        region_sets = tuple(extract_regions(load_mask(path, cls)) for cls, path in record.mask_paths.items())
-        label = None
-        if record.labeled:
-            label = GradePair(dr=record.dr_grade, dme=record.dme_grade)
-        images.append(ExtractedImage(record.image_id, region_sets, label))
-    return images
+    """Every image of a manifest with its regions, held at once for inspection (checks, demos)."""
+    return list(iter_extracted(load_manifest(manifest_path)))
 
 
 def features_for_mode(
-    images: Sequence[ExtractedImage],
+    images: Iterable[ExtractedImage],
     mode: FeatureMode,
     thresholds: SizeThresholds = DEFAULT_THRESHOLDS,
 ) -> list[FeatureVector]:
-    if mode is FeatureMode.SIMPLE:
-        return [simple_features(img.region_sets) for img in images]
-    return [extended_features(img.region_sets, thresholds) for img in images]
+    """One feature vector per image.
+
+    Fed by :func:`iter_extracted`, it holds one image's regions at a time:
+    map() drops each image before it draws the next.
+    """
+    return list(map(lambda img: features_of(img.region_sets, mode, thresholds), images))
 
 
 @dataclass(frozen=True)
@@ -178,23 +188,30 @@ def ablation(
 ) -> AblationResult:
     """Train and score both feature modes on one shared train/test split.
 
-    Masks are loaded and regions extracted once; the two arms differ only
-    in how regions are summarized into features.  The split permutation and
+    Grades are checked before any mask is read.  Masks are loaded and
+    regions extracted once, one image at a time; the two arms differ only in
+    how regions are summarized into features.  The split permutation and
     both arms' training runs draw from the same ``config.seed``, so the
     comparison is paired.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    images = extract_dataset(manifest_path)
-    unlabeled = [img.image_id for img in images if img.label is None]
+    records = load_manifest(manifest_path)
+    unlabeled = [record.image_id for record in records if not record.labeled]
     if unlabeled:
         raise ValueError(
             f"ablation needs grades for every image; missing for {unlabeled[:5]}"
         )
-    n = len(images)
+    n = len(records)
     if n < 5:
         raise ValueError(f"ablation needs at least 5 labeled images, got {n}")
-    labels = [img.label for img in images]
+    labels = [GradePair(dr=record.dr_grade, dme=record.dme_grade) for record in records]
+    # As in features_for_mode, map() drops each image before reading the next.
+    both_modes = map(
+        lambda img: [features_of(img.region_sets, mode, thresholds) for mode in FeatureMode],
+        iter_extracted(records),
+    )
+    vectors = dict(zip(FeatureMode, zip(*both_modes)))
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
@@ -202,8 +219,7 @@ def ablation(
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
     reports = {}
-    for mode in (FeatureMode.SIMPLE, FeatureMode.EXTENDED):
-        fvs = features_for_mode(images, mode, thresholds)
+    for mode, fvs in vectors.items():
         model = train(
             [(fvs[i], labels[i]) for i in train_idx],
             config,

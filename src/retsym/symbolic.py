@@ -121,6 +121,15 @@ def extended_features(
     return FeatureVector(mode=FeatureMode.EXTENDED, values=tuple(values))
 
 
+def features_of(
+    region_sets: Iterable[RegionSet], mode: FeatureMode, thresholds: SizeThresholds = DEFAULT_THRESHOLDS
+) -> FeatureVector:
+    """One image's feature vector in either mode."""
+    if mode is FeatureMode.SIMPLE:
+        return simple_features(region_sets)
+    return extended_features(region_sets, thresholds)
+
+
 # ---------------------------------------------------------------------------
 # Features CSV: image_id, f1..fK, dr_grade, dme_grade (grades may be empty)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from retsym import (
     FeatureMode,
     GradePair,
     LabelRule,
+    LesionClass,
+    LesionMask,
     SynthSpec,
     TrainConfig,
     ablation,
@@ -15,8 +19,13 @@ from retsym import (
     format_report,
     generate,
     joint_accuracy,
+    save_mask,
+    write_features_csv,
+    write_manifest,
     write_report_csv,
 )
+from retsym import evaluation
+from retsym.cli import main
 from retsym.evaluation import REPORT_COLUMNS
 
 
@@ -173,19 +182,98 @@ def test_count_only_control_closes_the_gap(tmp_path):
     )
 
 
-def test_ablation_rejects_unlabeled(tmp_path, small_synth_dir):
-    out_dir, manifest = small_synth_dir
-    stripped = tmp_path / "unlabeled.csv"
+def _strip_grades(out_dir, manifest, dest, n_rows):
+    """Copy a manifest with the grades of its first ``n_rows`` rows emptied."""
     lines = manifest.read_text().splitlines()
-    header, first, rest = lines[0], lines[1], lines[2:]
-    cells = first.split(",")
-    cells[-2] = cells[-1] = ""
-    # absolute mask paths keep the copied manifest valid from tmp_path
     rewritten = []
-    for line in [",".join(cells), *rest]:
+    for i, line in enumerate(lines[1:]):
         parts = line.split(",")
+        if i < n_rows:
+            parts[-2] = parts[-1] = ""
+        # absolute mask paths keep the copied manifest valid from dest
         parts[1:5] = [str(out_dir / p) for p in parts[1:5]]
         rewritten.append(",".join(parts))
-    stripped.write_text("\n".join([header, *rewritten]) + "\n")
+    dest.write_text("\n".join([lines[0], *rewritten]) + "\n")
+    return dest
+
+
+def test_ablation_rejects_unlabeled(tmp_path, small_synth_dir):
+    out_dir, manifest = small_synth_dir
+    stripped = _strip_grades(out_dir, manifest, tmp_path / "unlabeled.csv", 1)
     with pytest.raises(ValueError, match="grades for every image"):
         ablation(stripped, TrainConfig(), hidden_dims=(8,))
+
+
+def test_ablation_checks_grades_before_reading_masks(tmp_path, small_synth_dir, monkeypatch):
+    out_dir, manifest = small_synth_dir
+    stripped = _strip_grades(out_dir, manifest, tmp_path / "unlabeled.csv", 30)
+    calls = []
+    load_mask = evaluation.load_mask
+    monkeypatch.setattr(evaluation, "load_mask", lambda *a: calls.append(a) or load_mask(*a))
+    ids = [line.split(",")[0] for line in manifest.read_text().splitlines()[1:6]]
+    with pytest.raises(ValueError) as info:
+        ablation(stripped, TrainConfig(), hidden_dims=(8,))
+    assert str(info.value) == f"ablation needs grades for every image; missing for {ids}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["simple", "extended"])
+def test_streamed_extract_writes_the_list_api_bytes(tmp_path, small_synth_dir, mode):
+    out_dir, manifest = small_synth_dir
+    partly_graded = _strip_grades(out_dir, manifest, tmp_path / "manifest.csv", 1)
+    streamed = tmp_path / "streamed.csv"
+    assert main(["extract", "--manifest", str(partly_graded), "--mode", mode, "--out", str(streamed)]) == 0
+    images = extract_dataset(partly_graded)
+    assert images[0].label is None and images[1].label is not None
+    listed = tmp_path / "listed.csv"
+    rows = [
+        (img.image_id, fv, img.label.dr if img.label else None, img.label.dme if img.label else None)
+        for img, fv in zip(images, features_for_mode(images, FeatureMode(mode)))
+    ]
+    write_features_csv(listed, FeatureMode(mode), rows)
+    assert streamed.read_bytes() == listed.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def salt_noise_dir(tmp_path_factory):
+    """32 graded images whose 256x256 masks are 5% salt noise, thousands of
+    regions each, with manifests over the first 4, 5 and all 32 of them."""
+    out = tmp_path_factory.mktemp("salt")
+    rng = np.random.default_rng(15)
+    rows = []
+    for i in range(32):
+        row = {"image_id": f"img{i:02d}", "dr_grade": str(i % 5), "dme_grade": str(i % 3)}
+        for cls in LesionClass:
+            name = f"img{i:02d}_{cls.name.lower()}.pgm"
+            save_mask(LesionMask(rng.random((256, 256)) < 0.05, cls), out / name)
+            row[cls.manifest_column] = name
+        rows.append(row)
+    for n in (4, 5, 32):
+        write_manifest(out / f"manifest{n}.csv", rows[:n])
+    return out
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, n_small", [("extract", 4), ("ablation", 5)])
+def test_extraction_memory_does_not_grow_with_images(salt_noise_dir, tmp_path, command, n_small):
+    """Only one image's regions are alive at a time: 28 more images, each
+    holding about 0.3 MB of runs and sizes, must not raise the peak."""
+
+    def run(n):
+        manifest = str(salt_noise_dir / f"manifest{n}.csv")
+        if command == "extract":
+            assert main(["extract", "--manifest", manifest, "--out", str(tmp_path / "f.csv")]) == 0
+        else:
+            ablation(manifest, TrainConfig(max_epochs=1), hidden_dims=(8,))
+
+    run(n_small)  # warm-up: one-time allocations would inflate the small peak
+    small, large = _traced_peak(lambda: run(n_small)), _traced_peak(lambda: run(32))
+    assert large - small <= 2**20, f"traced peak {small} B for {n_small} images, {large} B for 32"
