@@ -108,15 +108,15 @@ def _load_config_file(path: Optional[str]) -> dict:
     return doc
 
 
-def _parse_thresholds(text: str) -> SizeThresholds:
+def _int_list(flag: str, text: str, count: Optional[int] = None) -> tuple[int, ...]:
+    """A comma-separated flag value as integers; ``count`` of them, if given."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--thresholds needs 4 comma-separated integers, got {text!r}")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated integers, got {text!r}")
     try:
-        values = [int(p) for p in parts]
+        return tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"--thresholds needs integers, got {text!r}") from None
-    return SizeThresholds(*values)
+        raise ValueError(f"{flag} needs integers, got {text!r}") from None
 
 
 def _typed(key: str, value, kind: type):
@@ -132,7 +132,7 @@ def _typed(key: str, value, kind: type):
 
 def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
     if getattr(args, "thresholds", None) is not None:
-        return _parse_thresholds(args.thresholds)
+        return SizeThresholds(*_int_list("--thresholds", args.thresholds, 4))
     if "thresholds" in doc:
         values = doc["thresholds"]
         if not (isinstance(values, list) and len(values) == 4):
@@ -153,21 +153,19 @@ def _train_config_from(args: argparse.Namespace, doc: dict) -> TrainConfig:
 
 
 def _hidden_dims_from(args: argparse.Namespace, doc: dict) -> tuple[int, ...]:
-    text = getattr(args, "hidden_dims", None)
-    if text is not None:
-        try:
-            dims = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"--hidden-dims needs integers, got {text!r}") from None
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"--hidden-dims must be positive, got {text!r}")
-        return dims
-    if "hidden_dims" in doc:
-        dims = doc["hidden_dims"]
-        if not isinstance(dims, list):
-            raise ValueError(f"config hidden_dims must be a list of integers, got {dims!r}")
-        return tuple(_typed(f"hidden_dims[{i}]", d, int) for i, d in enumerate(dims))
-    return DEFAULT_HIDDEN_DIMS
+    given = getattr(args, "hidden_dims", None)
+    if given is not None:
+        source, dims = "--hidden-dims", _int_list("--hidden-dims", given)
+    elif "hidden_dims" in doc:
+        source, given = "config hidden_dims", doc["hidden_dims"]
+        if not isinstance(given, list):
+            raise ValueError(f"config hidden_dims must be a list of integers, got {given!r}")
+        dims = tuple(_typed(f"hidden_dims[{i}]", d, int) for i, d in enumerate(given))
+    else:
+        return DEFAULT_HIDDEN_DIMS
+    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"{source} must be positive, got {given!r}")
+    return dims
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
@@ -194,7 +192,8 @@ def _add_thresholds_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--thresholds",
         default=None,
-        help="size cuts t0,t1,t2,t3 for discard/small/medium/large (default: 10,500,1000,10000)",
+        help="size cuts t0,t1,t2,t3 for discard/small/medium/large "
+        f"(default: {','.join(map(str, DEFAULT_THRESHOLDS.as_tuple()))})",
     )
 
 
@@ -296,7 +295,7 @@ def _reference_pairs(path: str | Path) -> dict[str, GradePair]:
     """Reference grades from either a manifest or a labeled features CSV."""
     path = Path(path)
     records = read_csv(path, ValueError, "reference")
-    if records and records[0][1] == list(MANIFEST_COLUMNS):
+    if records and set(MANIFEST_COLUMNS).issubset(records[0][1]):
         grades = [(r.image_id, r.dr_grade, r.dme_grade) for r in load_manifest(path)]
     else:
         grades = [(image_id, dr, dme) for image_id, _, dr, dme in read_features_csv(path)[1]]

@@ -375,6 +375,8 @@ def train(
     mode = dataset[0][0].mode
     if any(fv.mode is not mode for fv, _ in dataset):
         raise ValueError("all feature vectors must share one mode")
+    trunk_dims = _integers((mode.length, *hidden_dims), "trunk_dims")
+    _check_dims(trunk_dims, mode)
 
     raw = np.array([fv.values for fv, _ in dataset], dtype=np.float64)
     y_dr_all = np.array([label.dr for _, label in dataset], dtype=np.intp)
@@ -391,7 +393,6 @@ def train(
     x_train, y_dr_train, y_dme_train = x_all[train_idx], y_dr_all[train_idx], y_dme_all[train_idx]
     x_val, y_dr_val, y_dme_val = x_all[val_idx], y_dr_all[val_idx], y_dme_all[val_idx]
 
-    trunk_dims = (mode.length, *hidden_dims)
     n_trunk = len(trunk_dims) - 1
     flat = _init_flat(rng, trunk_dims)
     params = _views(flat, trunk_dims)  # updated in place through flat

@@ -30,16 +30,6 @@ _PGM_SPACE = b" \t\r\n\x0b\x0c"
 # then " " or a newline, NUL-padded to four bytes.
 _P2_CELLS = np.frombuffer(b"0 \x00\x00255 0\n\x00\x00255\n", dtype=np.uint8).reshape(2, 2, 4)
 
-MANIFEST_COLUMNS = (
-    "image_id",
-    "ma_mask",
-    "he_mask",
-    "se_mask",
-    "ex_mask",
-    "dr_grade",
-    "dme_grade",
-)
-
 DR_GRADE_RANGE = range(0, 5)
 DME_GRADE_RANGE = range(0, 3)
 
@@ -59,6 +49,9 @@ class LesionClass(enum.Enum):
     @property
     def manifest_column(self) -> str:
         return self.name.lower() + "_mask"
+
+
+MANIFEST_COLUMNS = ("image_id", *(cls.manifest_column for cls in LesionClass), "dr_grade", "dme_grade")
 
 
 class MaskFormatError(ValueError):

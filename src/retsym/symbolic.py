@@ -23,7 +23,7 @@ from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
 
-LESION_ORDER = (LesionClass.MA, LesionClass.HE, LesionClass.SE, LesionClass.EX)
+LESION_ORDER = tuple(LesionClass)
 
 
 class FeatureMode(enum.Enum):

@@ -30,11 +30,11 @@ import numpy as np
 
 from .grader import GradePair
 from .mask_io import LesionClass, LesionMask, read_csv, save_mask, write_csv, write_manifest
-from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SizeThresholds
+from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SIZE_WORDS, SizeThresholds
 
 GROUND_TRUTH_COLUMNS = (
     "image_id",
-    *(f"{cls.name.lower()}_{word}" for cls in LESION_ORDER for word in ("small", "medium", "large")),
+    *(f"{cls.name.lower()}_{word}" for cls in LESION_ORDER for word in SIZE_WORDS),
     "dr_grade",
     "dme_grade",
 )
@@ -162,10 +162,6 @@ class ImagePlan:
     bucket_counts: np.ndarray = field(compare=False)  # (4, 3) planted in-bucket counts
     shapes: dict[LesionClass, tuple[PlacedShape, ...]] = field(compare=False)
 
-    def planted_sizes(self, cls: LesionClass) -> list[int]:
-        """All planted region sizes for one class, noise specks included."""
-        return sorted(s.size for s in self.shapes[cls])
-
 
 # ---------------------------------------------------------------------------
 # Shape sampling
@@ -183,12 +179,6 @@ _DISC_COUNTS = tuple((r, _disc_count(r)) for r in range(1, 81))  # (radius, pixe
 
 
 @functools.cache
-def _disc_candidates(lo: int, hi: int, max_side: int) -> tuple[tuple[int, int], ...]:
-    """The (radius, pixel count) discs with lo < count <= hi that fit ``max_side``."""
-    return tuple((r, n) for r, n in _DISC_COUNTS if lo < n <= hi and 2 * r + 1 <= max_side)
-
-
-@functools.cache
 def _disc_template(radius: int) -> np.ndarray:
     """The disc's pixels in its bounding square; read-only, as every caller shares it."""
     axis = np.arange(-radius, radius + 1)
@@ -197,61 +187,46 @@ def _disc_template(radius: int) -> np.ndarray:
     return template
 
 
-def _sample_shape(
-    rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
-) -> PlacedShape:
-    """Draw a rectangle or disc with pixel count inside ``size_range``, at
-    (0, 0) until :func:`_pack_shelves` places it.
-
-    The draws from ``rng`` and their order fix the generated files' bytes.
-    """
+@functools.cache
+def _shape_choices(
+    size_range: tuple[int, int], max_h: int, max_w: int
+) -> tuple[tuple[tuple[int, int], ...], range]:
+    """The (radius, pixel count) discs and the rectangle heights that a shape
+    of ``size_range`` pixels is drawn from; :class:`PackingError` when
+    neither a disc nor a rectangle of that many pixels fits the canvas."""
     lo, hi = size_range[0] - 1, size_range[1]  # sizes s satisfy lo < s <= hi
-    discs = _disc_candidates(lo, hi, min(max_h, max_w))
-    if discs and rng.random() < 0.3:
-        # Indexing by integers(0, n) draws what rng.choice(discs) would.
-        radius, count = discs[int(rng.integers(0, len(discs)))]
-        side = 2 * radius + 1
-        return PlacedShape("disc", 0, 0, side, side, count, radius)
-
-    hh_min = max(1, -((lo + 1) // -max_w))  # ceil((lo + 1) / max_w)
-    hh_max = min(max_h, math.isqrt(hi))
-    if hh_min > hh_max:
+    discs = tuple((r, n) for r, n in _DISC_COUNTS if lo < n <= hi and 2 * r + 1 <= min(max_h, max_w))
+    # From ceil((lo + 1) / max_w), below which no width is wide enough, to isqrt(hi).
+    heights = range(max(1, -((lo + 1) // -max_w)), min(max_h, math.isqrt(hi)) + 1)
+    if not discs and all(lo // hh >= min(hi // hh, max_w) for hh in heights):
         raise PackingError(
-            f"no rectangle of {size_range[0]}..{size_range[1]} px fits a "
-            f"{max_h}x{max_w} canvas"
+            f"no shape of {size_range[0]}..{size_range[1]} px fits a {max_h}x{max_w} canvas"
         )
-    hh = int(rng.integers(hh_min, hh_max + 1))
-    ww_min = lo // hh + 1
-    ww_max = min(hi // hh, max_w)
-    if ww_min > ww_max:  # a narrow size range; _draw_shape draws again
-        raise ValueError(f"no {hh}-row rectangle has {size_range[0]}..{hi} px")
-    ww = int(rng.integers(ww_min, ww_max + 1))
-    return PlacedShape("rect", 0, 0, hh, ww, hh * ww)
-
-
-def _fits_some_shape(size_range: tuple[int, int], max_h: int, max_w: int) -> bool:
-    """Whether a disc or rectangle of ``size_range`` pixels fits the canvas."""
-    lo, hi = size_range[0] - 1, size_range[1]
-    return bool(_disc_candidates(lo, hi, min(max_h, max_w))) or any(
-        lo // hh < min(hi // hh, max_w) for hh in range(1, min(max_h, math.isqrt(hi)) + 1)
-    )
+    return discs, heights
 
 
 def _draw_shape(
     rng: np.random.Generator, size_range: tuple[int, int], max_h: int, max_w: int
 ) -> PlacedShape:
-    """:func:`_sample_shape`, drawn again while the rectangle height it draws
-    leaves no width (its only ``ValueError``).  A draw that succeeds the first
-    time is kept, so every range that never fails draws what it always did."""
+    """Draw a rectangle or disc with pixel count inside ``size_range``, at
+    (0, 0) until :func:`_pack_shelves` places it.  A rectangle height that
+    leaves no width (in a narrow size range) starts the draw again.
+
+    The draws from ``rng`` and their order fix the generated files' bytes.
+    """
+    lo, hi = size_range[0] - 1, size_range[1]
+    discs, heights = _shape_choices(size_range, max_h, max_w)
     while True:
-        try:
-            return _sample_shape(rng, size_range, max_h, max_w)
-        except ValueError:
-            if not _fits_some_shape(size_range, max_h, max_w):
-                raise PackingError(
-                    f"no shape of {size_range[0]}..{size_range[1]} px fits a "
-                    f"{max_h}x{max_w} canvas"
-                ) from None
+        if discs and rng.random() < 0.3:
+            # Indexing by integers(0, n) draws what rng.choice(discs) would.
+            radius, count = discs[int(rng.integers(0, len(discs)))]
+            side = 2 * radius + 1
+            return PlacedShape("disc", 0, 0, side, side, count, radius)
+        hh = int(rng.integers(heights.start, heights.stop))
+        ww_min, ww_max = lo // hh + 1, min(hi // hh, max_w)
+        if ww_min <= ww_max:
+            ww = int(rng.integers(ww_min, ww_max + 1))
+            return PlacedShape("rect", 0, 0, hh, ww, hh * ww)
 
 
 def _pack_shelves(
@@ -320,11 +295,8 @@ def _sample_bucket_counts(
             counts[0, 0] = int(rng.integers(1, 21))
         elif dr >= 2:
             counts[0, 0] = int(rng.integers(0, 11))
-            counts[1, 0] = {
-                2: int(rng.integers(1, 9)),
-                3: int(rng.integers(25, 31)),
-                4: int(rng.integers(55, 61)),
-            }[dr]
+            # All three totals are drawn and the grade's is kept: the draws fix the bytes.
+            counts[1, 0] = _counts(rng, (1, 8), (25, 30), (55, 60))[dr - 2]
             counts[2, 0] = int(rng.integers(0, 6))
             if dme == 1:
                 counts[3, 0] = int(rng.integers(1, 6))

@@ -28,8 +28,9 @@ from retsym import (
 )
 from retsym import cli
 from retsym.cli import main, read_predictions_csv, write_predictions_csv
+from retsym.grader import DEFAULT_HIDDEN_DIMS
 from retsym.mask_io import MANIFEST_COLUMNS
-from retsym.symbolic import features_header
+from retsym.symbolic import DEFAULT_THRESHOLDS, features_header
 from retsym.synth import GROUND_TRUTH_COLUMNS, read_ground_truth
 
 
@@ -429,6 +430,26 @@ def test_bad_predictions_csv(tmp_path, pipeline, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dims", [[0], [4, 0], []], ids=["zero", "last-zero", "empty"])
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_config_hidden_dims_must_be_positive(pipeline, tmp_path, monkeypatch, capsys, command, dims):
+    # [0] and [4, 0] used to exit 1 with a ZeroDivisionError traceback, ablation
+    # only after reading every mask; [] failed only after the last epoch.
+    def read_input(*args, **kwargs):
+        pytest.fail("input read before the config was checked")
+
+    monkeypatch.setattr(cli, "read_features_csv", read_input)
+    monkeypatch.setattr(cli, "ablation", read_input)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hidden_dims": dims}))
+    out = tmp_path / "out"
+    args = _training_args(command, pipeline, out)[:-2] + ["--config", str(config)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"config hidden_dims must be positive, got {dims!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _training_args(command, pipeline, out):
     if command == "train":
         return ["train", "--features", str(pipeline / "features.csv"), "--out", str(out),
@@ -477,6 +498,15 @@ def test_model_with_non_finite_training_meta_is_rejected(pipeline, tmp_path, cap
     assert not (tmp_path / "p.csv").exists()
 
 
+def _help_entry(capsys, command, option):
+    """The text after ``option``'s metavar in ``command``'s --help, up to the next option."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    metavar = option[2:].upper().replace("-", "_")
+    return text.split(f" {option} {metavar} ")[1].split(" --")[0]
+
+
 # Every TrainConfig field: its flag, a flag value and a --config value (neither the default).
 _OPTION_CASES = {
     "learning_rate": ("--lr", 0.05, 0.02),
@@ -512,12 +542,7 @@ def test_train_option_declaration(pipeline, tmp_path, monkeypatch, capsys, comma
         assert "config captured" in capsys.readouterr().err
         assert seen.pop() == dataclasses.replace(TrainConfig(), **{field: want})
 
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    metavar = flag[2:].upper().replace("-", "_")
-    entry = text.split(f" {flag} {metavar} ")[1].split(" --")[0]
-    assert f"(default: {getattr(TrainConfig(), field)})" in entry
+    assert f"(default: {getattr(TrainConfig(), field)})" in _help_entry(capsys, command, flag)
 
 
 def test_prediction_ids_with_commas_and_quotes(pipeline, tmp_path):
@@ -681,6 +706,15 @@ def test_thresholds_flag_changes_features(pipeline, tmp_path):
     _, coarse = read_features_csv(out)
     _, default = read_features_csv(pipeline / "features.csv")
     assert any(c[1].values != d[1].values for c, d in zip(coarse, default))
+
+
+@pytest.mark.parametrize("command", ["synth", "extract", "train", "ablation"])
+def test_help_shows_the_default_thresholds(capsys, command):
+    default = ",".join(str(t) for t in DEFAULT_THRESHOLDS.as_tuple())
+    assert f"(default: {default})" in _help_entry(capsys, command, "--thresholds")
+    if command in ("train", "ablation"):
+        dims = ",".join(str(d) for d in DEFAULT_HIDDEN_DIMS)
+        assert f"(default: {dims})" in _help_entry(capsys, command, "--hidden-dims")
 
 
 def test_entry_point_help():

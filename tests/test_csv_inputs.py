@@ -144,7 +144,9 @@ REFERENCE_CASES = {
     "manifest-crlf": (MANIFEST_HEADER + b"\r\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1\r\n", [("a", 2, 1)]),
     "manifest-unlabeled": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,,\n", ValueError),
     "manifest-extra-column": (MANIFEST_HEADER + b",extra\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1,x\n",
-                              FeaturesCsvError),
+                              [("a", 2, 1)]),
+    "manifest-reordered": (b"dme_grade,dr_grade,ex_mask,se_mask,he_mask,ma_mask,image_id\n"
+                           b"1,2,4.pgm,3.pgm,2.pgm,1.pgm,a\n", [("a", 2, 1)]),
     "features": (SIMPLE_HEADER + b"\na,1,2,3,4,2,1\n", [("a", 2, 1)]),
     "features-unlabeled": (SIMPLE_HEADER + b"\na,1,2,3,4,,\n", ValueError),
     "features-bad-grade": (SIMPLE_HEADER + b"\na,1,2,3,4,2,7\n", FeaturesCsvError),

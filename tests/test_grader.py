@@ -19,6 +19,7 @@ from retsym import (
     save_model,
     train,
 )
+from retsym import grader
 from retsym.grader import (
     DEFAULT_HIDDEN_DIMS,
     _adam_step,
@@ -315,6 +316,17 @@ def test_seed_changes_weights():
     b = train(data, TrainConfig(max_epochs=2, seed=2), hidden_dims=TINY_DIMS)
     first_layer = [_views(m.params, m.trunk_dims)[0] for m in (a, b)]
     assert not np.array_equal(*first_layer)
+
+
+@pytest.mark.parametrize("hidden_dims", [(0,), (2.5,), ()], ids=["zero", "fraction", "empty"])
+def test_train_rejects_bad_hidden_dims_before_training(monkeypatch, hidden_dims):
+    # (0,) used to raise ZeroDivisionError, (2.5,) TypeError, and () failed
+    # only after every epoch had run.
+    calls = []
+    monkeypatch.setattr(grader, "loss_and_gradients", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="trunk_dims"):
+        train(_toy_dataset(n=20), TrainConfig(max_epochs=2), hidden_dims=hidden_dims)
+    assert calls == []
 
 
 def test_training_meta_contents():

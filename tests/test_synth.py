@@ -34,7 +34,7 @@ from retsym.synth import (
     PlacedShape,
     _disc_count,
     _disc_template,
-    _sample_shape,
+    _draw_shape,
     rasterize,
 )
 
@@ -166,7 +166,7 @@ def test_plans_respect_rule_and_buckets():
     for plan in plans:
         assert label_rule(plan.bucket_counts, spec.rule) == plan.label
         for row, cls in enumerate(LESION_ORDER):
-            sizes = plan.planted_sizes(cls)
+            sizes = sorted(s.size for s in plan.shapes[cls])
             by_bucket = [0, 0, 0]
             for size in sizes:
                 bucket = spec.thresholds.bucket_of(size)
@@ -203,11 +203,12 @@ def test_rasterized_sizes_match_plan():
         for cls in LESION_ORDER:
             mask = rasterize(plan, spec, cls)
             extracted = sorted(extract_regions(mask).sizes())
-            assert extracted == sorted(plan.planted_sizes(cls))
+            assert extracted == sorted(s.size for s in plan.shapes[cls])
 
 
 def _sample_shape_reference(rng, size_range, max_h, max_w):
-    """``_sample_shape`` as a scan of the whole disc table and ``rng.choice``."""
+    """One pass of ``_draw_shape``'s loop, as a scan of the whole disc table and
+    ``rng.choice``; numpy raises ValueError when the drawn height leaves no width."""
     lo, hi = size_range[0] - 1, size_range[1]
     disc_radii = [
         r for r in range(1, 81)
@@ -226,16 +227,35 @@ def _sample_shape_reference(rng, size_range, max_h, max_w):
     return PlacedShape("rect", 0, 0, hh, ww, hh * ww)
 
 
+def _draw_shape_reference(rng, size_range, max_h, max_w):
+    """``_sample_shape_reference`` drawn again while the rectangle height it
+    draws leaves no width (numpy's ValueError "low >= high"), once a scan of
+    every disc and rectangle height has shown that some shape fits."""
+    lo, hi = size_range[0] - 1, size_range[1]
+    disc_fits = any(
+        lo < _disc_count(r) <= hi and 2 * r + 1 <= min(max_h, max_w) for r in range(1, 81)
+    )
+    rect_fits = any(
+        lo // hh < min(hi // hh, max_w) for hh in range(1, min(max_h, math.isqrt(hi)) + 1)
+    )
+    if not (disc_fits or rect_fits):
+        raise PackingError("no shape fits")
+    while True:
+        try:
+            return _sample_shape_reference(rng, size_range, max_h, max_w)
+        except ValueError:
+            pass
+
+
 def _draw(sample, seed, size_range, max_h, max_w, n):
     """n shapes (or the error type raised) from one generator, then its next
-    random(): what the sampler drew and how far it moved the stream.  Some
-    narrow size ranges make numpy raise ValueError ("low >= high")."""
+    random(): what the sampler drew and how far it moved the stream."""
     rng = np.random.default_rng(seed)
     drafts = []
     for _ in range(n):
         try:
             drafts.append(sample(rng, size_range, max_h, max_w))
-        except (PackingError, ValueError) as exc:
+        except PackingError as exc:
             drafts.append(type(exc))
     return drafts, rng.random()
 
@@ -249,7 +269,7 @@ def _draw(sample, seed, size_range, max_h, max_w, n):
 )
 def test_sample_shape_matches_reference(bounds, max_h, max_w, seed):
     args = (seed, tuple(bounds), max_h, max_w, 8)
-    assert _draw(_sample_shape, *args) == _draw(_sample_shape_reference, *args)
+    assert _draw(_draw_shape, *args) == _draw(_draw_shape_reference, *args)
 
 
 def test_narrow_size_range_draws_a_fitting_rectangle():
@@ -380,6 +400,31 @@ def test_generated_tree_bytes_are_pinned(tmp_path):
     files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
     assert len(files) == n_files
     digest = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files))
+    assert digest.hexdigest() == sha256
+
+
+# Trees recorded before the shape sampler became one loop; the sha256 is over
+# every file in sorted path order, each file's base name and then its bytes.
+RECORDED_TREES = {
+    "size-aware": (
+        SynthSpec(n_images=100, width=192, height=192, seed=7),
+        "127be5955fcf079d8489e6936638d25f49ede982698c9df91c98c50991159e9a",
+    ),
+    "count-only": (
+        SynthSpec(n_images=40, width=128, height=128, seed=5, rule=LabelRule.COUNT_ONLY),
+        "3dfd2ae04fce68afce2384fdd84f789bb670536b9c8280889bdfbe5a388a3563",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED_TREES))
+def test_generated_tree_matches_recorded_hash(tmp_path, name):
+    spec, sha256 = RECORDED_TREES[name]
+    generate(spec, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
     assert digest.hexdigest() == sha256
 
 
