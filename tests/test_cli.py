@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -30,7 +31,7 @@ from retsym import cli
 from retsym.cli import main, read_predictions_csv, write_predictions_csv
 from retsym.grader import DEFAULT_HIDDEN_DIMS
 from retsym.mask_io import MANIFEST_COLUMNS
-from retsym.symbolic import DEFAULT_THRESHOLDS, features_header
+from retsym.symbolic import DEFAULT_THRESHOLDS, SizeThresholds, features_header
 from retsym.synth import GROUND_TRUTH_COLUMNS, read_ground_truth
 
 
@@ -518,31 +519,59 @@ _OPTION_CASES = {
     "seed": ("--seed", 11, 12),
 }
 
+# The other resolved settings: flag, flag text, --config value, then the value
+# the command receives from the flag and from --config (neither the default).
+_SETTING_CASES = {
+    "thresholds": ("--thresholds", "5,400,900,9000", [6, 300, 800, 8000],
+                   SizeThresholds(5, 400, 900, 9000), SizeThresholds(6, 300, 800, 8000)),
+    "hidden_dims": ("--hidden-dims", "9,7", [5], (9, 7), (5,)),
+    "test_fraction": ("--test-fraction", "0.3", 0.4, 0.3, 0.4),
+}
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
-@pytest.mark.parametrize("command", ["train", "ablation"])
+
+@pytest.mark.parametrize(
+    "command,field",
+    [(command, f.name) for command in ("ablation", "train") for f in dataclasses.fields(TrainConfig)]
+    + [("extract", "thresholds"), ("train", "thresholds"), ("ablation", "thresholds"),
+       ("train", "hidden_dims"), ("ablation", "hidden_dims"), ("ablation", "test_fraction")],
+)
 def test_train_option_declaration(pipeline, tmp_path, monkeypatch, capsys, command, field):
-    flag, flag_value, config_value = _OPTION_CASES[field]  # a KeyError names a new field
+    if field in _SETTING_CASES:
+        flag, flag_text, config_value, from_flag, from_config = _SETTING_CASES[field]
+        received = field
+    else:
+        flag, flag_value, config_value = _OPTION_CASES[field]  # a KeyError names a new field
+        flag_text, received = str(flag_value), "config"
+        from_flag, from_config = (dataclasses.replace(TrainConfig(), **{field: v})
+                                  for v in (flag_value, config_value))
+    target = "features_for_mode" if command == "extract" else command
+    signature = inspect.signature(getattr(cli, target))
     seen = []
 
-    def capture(data, config, **kwargs):  # stands in for grader.train / evaluation.ablation
-        seen.append(config)
+    def capture(*args, **kwargs):  # stands in for the command's train, ablation or features_for_mode
+        seen.append(signature.bind(*args, **kwargs).arguments[received])
         raise ValueError("config captured")
 
-    monkeypatch.setattr(cli, command, capture)
+    monkeypatch.setattr(cli, target, capture)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({field: config_value}))
-    base = _training_args(command, pipeline, tmp_path / "out")
+    if command == "extract":
+        base = ["extract", "--manifest", str(pipeline / "data" / "manifest.csv"),
+                "--out", str(tmp_path / "out")]
+    else:
+        base = _training_args(command, pipeline, tmp_path / "out")[:-2]  # without --hidden-dims
     for extra, want in (
-        ([flag, str(flag_value)], flag_value),  # the flag sets it
-        (["--config", str(config)], config_value),  # --config sets it
-        (["--config", str(config), flag, str(flag_value)], flag_value),  # the flag wins
+        ([flag, flag_text], from_flag),  # the flag sets it
+        (["--config", str(config)], from_config),  # --config sets it
+        (["--config", str(config), flag, flag_text], from_flag),  # the flag wins
     ):
         assert main(base + extra) == 2
         assert "config captured" in capsys.readouterr().err
-        assert seen.pop() == dataclasses.replace(TrainConfig(), **{field: want})
+        assert seen.pop() == want
+    assert not (tmp_path / "out").exists()
 
-    assert f"(default: {getattr(TrainConfig(), field)})" in _help_entry(capsys, command, flag)
+    if field not in _SETTING_CASES:
+        assert f"(default: {getattr(TrainConfig(), field)})" in _help_entry(capsys, command, flag)
 
 
 def test_prediction_ids_with_commas_and_quotes(pipeline, tmp_path):
