@@ -119,53 +119,49 @@ def _int_list(flag: str, text: str, count: Optional[int] = None) -> tuple[int, .
         raise ValueError(f"{flag} needs integers, got {text!r}") from None
 
 
-def _typed(key: str, value, kind: type):
+def _typed(name: str, value, kind: type):
     """A config value as ``kind``: an int must be a JSON integer, a float any
     JSON number; a bool or string is rejected rather than converted."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"config {key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:  # an integer past the float range
-        raise ValueError(f"config {key} is out of range, got {value!r}") from None
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
 
 
-def _thresholds_from(args: argparse.Namespace, doc: dict) -> SizeThresholds:
-    if getattr(args, "thresholds", None) is not None:
-        return SizeThresholds(*_int_list("--thresholds", args.thresholds, 4))
-    if "thresholds" in doc:
-        values = doc["thresholds"]
-        if not (isinstance(values, list) and len(values) == 4):
-            raise ValueError("config thresholds must be a list of 4 integers")
-        return SizeThresholds(*(_typed(f"thresholds[{i}]", v, int) for i, v in enumerate(values)))
-    return DEFAULT_THRESHOLDS
+def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Optional[int] = None):
+    """A setting's flag value, else its ``--config`` value, else ``default``.
 
-
-def _train_config_from(args: argparse.Namespace, doc: dict) -> TrainConfig:
-    """Defaults, overridden by --config JSON, overridden by explicit flags."""
-    values = {}
-    for f in fields(TrainConfig):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
-        elif f.name in doc:
-            values[f.name] = _typed(f.name, doc[f.name], type(f.default))
-    return TrainConfig(**values)
-
-
-def _hidden_dims_from(args: argparse.Namespace, doc: dict) -> tuple[int, ...]:
-    given = getattr(args, "hidden_dims", None)
-    if given is not None:
-        source, dims = "--hidden-dims", _int_list("--hidden-dims", given)
-    elif "hidden_dims" in doc:
-        source, given = "config hidden_dims", doc["hidden_dims"]
-        if not isinstance(given, list):
-            raise ValueError(f"config hidden_dims must be a list of integers, got {given!r}")
-        dims = tuple(_typed(f"hidden_dims[{i}]", d, int) for i, d in enumerate(given))
+    A tuple setting holds integers, from a comma-separated flag or a JSON
+    list: ``count`` of them, or without a ``count`` one or more, all positive.
+    """
+    flag = getattr(args, name, None)
+    if flag is None and name not in doc:
+        return default
+    source, given = ("--" + name.replace("_", "-"), flag) if flag is not None else (f"config {name}", doc[name])
+    if not isinstance(default, tuple):
+        return flag if flag is not None else _typed(source, given, type(default))
+    if flag is not None:
+        value = _int_list(source, flag, count)
+    elif isinstance(given, list) and len(given) == (count or len(given)):
+        value = tuple(_typed(f"{source}[{i}]", v, int) for i, v in enumerate(given))
     else:
-        return DEFAULT_HIDDEN_DIMS
-    if not dims or any(d < 1 for d in dims):
+        raise ValueError(f"{source} must be a list of {count or 'positive'} integers, got {given!r}")
+    if count is None and (not value or min(value) < 1):
         raise ValueError(f"{source} must be positive, got {given!r}")
-    return dims
+    return value
+
+
+def _training_settings(args: argparse.Namespace) -> tuple[dict, TrainConfig, dict]:
+    """The --config document, the TrainConfig, and the thresholds and
+    hidden_dims keywords of ``train`` and ``ablation``."""
+    doc = _load_config_file(args.config)
+    config = TrainConfig(**{f.name: _setting(args, doc, f.name, f.default) for f in fields(TrainConfig)})
+    return doc, config, {
+        "thresholds": SizeThresholds(*_setting(args, doc, "thresholds", DEFAULT_THRESHOLDS.as_tuple(), 4)),
+        "hidden_dims": _setting(args, doc, "hidden_dims", DEFAULT_HIDDEN_DIMS),
+    }
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
@@ -213,7 +209,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         height=height,
         seed=args.seed,
         rule=LabelRule(args.rule),
-        thresholds=_thresholds_from(args, {}),
+        thresholds=SizeThresholds(*_setting(args, {}, "thresholds", DEFAULT_THRESHOLDS.as_tuple(), 4)),
     )
     manifest = generate(spec, args.out)
     print(f"wrote {args.n} images under {args.out}; manifest: {manifest}")
@@ -222,7 +218,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     doc = _load_config_file(args.config)
-    thresholds = _thresholds_from(args, doc)
+    thresholds = SizeThresholds(*_setting(args, doc, "thresholds", DEFAULT_THRESHOLDS.as_tuple(), 4))
     mode = FeatureMode(args.mode)
     records = load_manifest(args.manifest)
     vectors = features_for_mode(iter_extracted(records), mode, thresholds)
@@ -242,12 +238,9 @@ def _labeled_dataset(path: str | Path):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    doc = _load_config_file(args.config)
-    config = _train_config_from(args, doc)
-    thresholds = _thresholds_from(args, doc)
-    hidden_dims = _hidden_dims_from(args, doc)
+    _, config, options = _training_settings(args)
     _, dataset = _labeled_dataset(args.features)
-    model = train(dataset, config, thresholds=thresholds, hidden_dims=hidden_dims)
+    model = train(dataset, config, **options)
     out = Path(args.out)
     _atomic_write(out, lambda tmp: save_model(model, tmp))
     meta = model.training_meta
@@ -324,20 +317,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    doc = _load_config_file(args.config)
-    config = _train_config_from(args, doc)
-    thresholds = _thresholds_from(args, doc)
-    hidden_dims = _hidden_dims_from(args, doc)
-    test_fraction = args.test_fraction
-    if test_fraction is None:
-        test_fraction = _typed("test_fraction", doc.get("test_fraction", 0.2), float)
-    result = ablation(
-        args.manifest,
-        config,
-        thresholds=thresholds,
-        test_fraction=test_fraction,
-        hidden_dims=hidden_dims,
-    )
+    doc, config, options = _training_settings(args)
+    result = ablation(args.manifest, config, test_fraction=_setting(args, doc, "test_fraction", 0.2), **options)
     print(format_report(result.simple, title=f"[simple] train={result.n_train} test={result.n_test}"))
     print()
     print(format_report(result.extended, title=f"[extended] train={result.n_train} test={result.n_test}"))

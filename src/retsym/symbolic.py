@@ -12,6 +12,7 @@ region, single-pixel specks included.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -53,13 +54,8 @@ class SizeThresholds:
 
     def bucket_of(self, size: int) -> Optional[int]:
         """Bucket index 0/1/2 for small/medium/large, None for discarded."""
-        if self.tau0 < size <= self.tau1:
-            return 0
-        if self.tau1 < size <= self.tau2:
-            return 1
-        if self.tau2 < size <= self.tau3:
-            return 2
-        return None
+        slot = bisect_left(self.as_tuple(), size)  # the slot rule of extended_features
+        return slot - 1 if 1 <= slot <= 3 else None
 
 
 DEFAULT_THRESHOLDS = SizeThresholds()
