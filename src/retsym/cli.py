@@ -44,7 +44,7 @@ from .grader import (
     save_model,
     train,
 )
-from .mask_io import MANIFEST_COLUMNS, load_manifest, read_csv, read_text, write_csv
+from .mask_io import MANIFEST_COLUMNS, as_number, integers, load_manifest, read_csv, read_text, write_csv
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
@@ -119,17 +119,6 @@ def _int_list(flag: str, text: str, count: Optional[int] = None) -> tuple[int, .
         raise ValueError(f"{flag} needs integers, got {text!r}") from None
 
 
-def _typed(name: str, value, kind: type):
-    """A config value as ``kind``: an int must be a JSON integer, a float any
-    JSON number; a bool or string is rejected rather than converted."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(f"{name} is out of range, got {value!r}") from None
-
-
 def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Optional[int] = None):
     """A setting's flag value, else its ``--config`` value, else ``default``.
 
@@ -141,11 +130,11 @@ def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Opt
         return default
     source, given = ("--" + name.replace("_", "-"), flag) if flag is not None else (f"config {name}", doc[name])
     if not isinstance(default, tuple):
-        return flag if flag is not None else _typed(source, given, type(default))
+        return flag if flag is not None else as_number(source, given, type(default))
     if flag is not None:
         value = _int_list(source, flag, count)
     elif isinstance(given, list) and len(given) == (count or len(given)):
-        value = tuple(_typed(f"{source}[{i}]", v, int) for i, v in enumerate(given))
+        value = integers(given, source)
     else:
         raise ValueError(f"{source} must be a list of {count or 'positive'} integers, got {given!r}")
     if count is None and (not value or min(value) < 1):

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, read_text
+from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, as_number, integers, read_text
 from .symbolic import DEFAULT_THRESHOLDS, FeatureMode, FeatureVector, SizeThresholds
 
 DR_GRADE_NAMES = ("no DR", "mild NPDR", "moderate NPDR", "severe NPDR", "PDR")
@@ -53,6 +53,9 @@ class GradePair:
     dme: int
 
     def __post_init__(self) -> None:
+        dr, dme = integers((self.dr, self.dme), "DR and DME grades")
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "dme", dme)
         if self.dr not in DR_GRADE_RANGE:
             raise ValueError(f"DR grade {self.dr} outside 0..4")
         if self.dme not in DME_GRADE_RANGE:
@@ -74,6 +77,8 @@ class TrainConfig:
     seed: int = 8
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # each value as its field's type: int or float
+            object.__setattr__(self, f.name, as_number(f.name, getattr(self, f.name), type(f.default)))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
@@ -86,6 +91,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,9 +117,9 @@ class GraderModel:
     training_meta: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.trunk_dims = _integers(self.trunk_dims, "trunk_dims")
+        self.trunk_dims = integers(self.trunk_dims, "trunk_dims", ModelFormatError)
         if self.seed is not None:
-            (self.seed,) = _integers([self.seed], "seed")
+            (self.seed,) = integers([self.seed], "seed", ModelFormatError)
         dims = self.trunk_dims
         _check_dims(dims, self.feature_mode)
         n_params = _n_params(dims)
@@ -132,15 +139,6 @@ class GraderModel:
             json.dumps(self.training_meta, allow_nan=False)
         except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"training section is not strict JSON: {exc}") from None
-
-
-def _integers(values: Sequence, name: str) -> tuple[int, ...]:
-    """``values`` as ints; a float, bool or string entry is rejected rather
-    than truncated."""
-    values = tuple(values)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-        raise ModelFormatError(f"{name} must be integers, got {list(values)}")
-    return tuple(int(v) for v in values)
 
 
 def _check_dims(trunk_dims: tuple[int, ...], mode: FeatureMode) -> None:
@@ -375,7 +373,7 @@ def train(
     mode = dataset[0][0].mode
     if any(fv.mode is not mode for fv, _ in dataset):
         raise ValueError("all feature vectors must share one mode")
-    trunk_dims = _integers((mode.length, *hidden_dims), "trunk_dims")
+    trunk_dims = integers((mode.length, *hidden_dims), "trunk_dims", ModelFormatError)
     _check_dims(trunk_dims, mode)
 
     raw = np.array([fv.values for fv, _ in dataset], dtype=np.float64)
@@ -556,11 +554,11 @@ def _model_from_doc(doc: object) -> GraderModel:
         values = doc["thresholds"]
         if not (isinstance(values, list) and len(values) == 4):
             raise TypeError("must be a list of 4 integers")
-        thresholds = SizeThresholds(*_integers(values, "thresholds"))
+        thresholds = SizeThresholds(*values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad thresholds: {exc}") from None
     try:
-        trunk_dims = _integers(doc["trunk_dims"], "trunk_dims")
+        trunk_dims = integers(doc["trunk_dims"], "trunk_dims", ModelFormatError)
         trunk = doc["trunk"]
         if not isinstance(trunk, list):
             raise TypeError("trunk must be a list")

@@ -8,7 +8,7 @@ token by token, and the error's offset names the offending token.  A pixel is
 lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
 binding four per-class mask files and an optional (DR, DME) label pair to each
 image id; :func:`read_csv` reads every CSV input and :func:`write_csv` writes
-every CSV output.
+every CSV output; :func:`is_number` decides what counts as an integer or number.
 """
 
 from __future__ import annotations
@@ -277,6 +277,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+_NUMBER_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def is_number(value: object, kind: type = int) -> bool:
+    """Whether ``value`` may stand for a ``kind``, int or float: an int must be
+    an integer and a float any real number, numpy's included.  A bool or a
+    string is neither, so it is rejected rather than converted."""
+    return type(value) is int or (isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool))
+
+
+def as_number(name: str, value: object, kind: type):
+    """``value`` as ``kind`` if :func:`is_number` accepts it, else a ValueError naming ``name``."""
+    if not is_number(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
+
+
+def integers(values: Iterable, name: str, error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """``values`` as ints, in one pass; an entry :func:`is_number` rejects raises ``error``."""
+    values = tuple(values)
+    ints = tuple(map(int, filter(is_number, values)))
+    if len(ints) != len(values):
+        raise error(f"{name} must be integers, got {list(values)}")
+    return ints
 
 
 def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[int]]:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import LesionClass, parse_grades, read_csv, write_csv
+from .mask_io import LesionClass, integers, parse_grades, read_csv, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -46,8 +46,11 @@ class SizeThresholds:
     tau3: int = 10000
 
     def __post_init__(self) -> None:
-        if not (self.tau0 < self.tau1 < self.tau2 < self.tau3):
-            raise ValueError(f"thresholds must be strictly increasing, got {self.as_tuple()}")
+        cuts = integers(self.as_tuple(), "thresholds")
+        if not (cuts[0] < cuts[1] < cuts[2] < cuts[3]):
+            raise ValueError(f"thresholds must be strictly increasing, got {cuts}")
+        for f, cut in zip(fields(self), cuts):
+            object.__setattr__(self, f.name, cut)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.tau0, self.tau1, self.tau2, self.tau3)
@@ -70,7 +73,7 @@ class FeatureVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = integers(self.values, "feature counts")
         if len(values) != self.mode.length:
             raise ValueError(
                 f"{self.mode.value} feature vector needs {self.mode.length} entries, "

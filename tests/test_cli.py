@@ -451,6 +451,21 @@ def test_config_hidden_dims_must_be_positive(pipeline, tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_negative_seed_exits_2_before_input_is_read(pipeline, tmp_path, monkeypatch, capsys, command):
+    # ablation used to read every mask, then exit 2 with "expected non-negative integer".
+    def read_input(*args, **kwargs):
+        pytest.fail("input read before the seed was checked")
+
+    monkeypatch.setattr(cli, "read_features_csv", read_input)
+    monkeypatch.setattr(cli, "ablation", read_input)
+    out = tmp_path / "out"
+    assert main(_training_args(command, pipeline, out) + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _training_args(command, pipeline, out):
     if command == "train":
         return ["train", "--features", str(pipeline / "features.csv"), "--out", str(out),

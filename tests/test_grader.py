@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retsym import (
+    DEFAULT_THRESHOLDS,
     FeatureMode,
     FeatureVector,
     GradePair,
     GraderModel,
     ModelFormatError,
+    SizeThresholds,
     TrainConfig,
     load_model,
     predict_batch,
@@ -68,6 +70,12 @@ def test_grade_pair_validation():
         GradePair(0, 3)
     with pytest.raises(ValueError):
         GradePair(-1, 0)
+    # GradePair(2.0, 0) passed, and predictions.csv then held "2.0", which its reader rejects.
+    for dr, dme in ((2.0, 0), (0, 1.0), (True, 0), ("2", 0), (np.float64(2), 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            GradePair(dr, dme)
+    pair = GradePair(np.int64(2), np.uint8(1))
+    assert pair == GradePair(2, 1) and type(pair.dr) is int and type(pair.dme) is int
 
 
 def test_train_config_validation():
@@ -80,10 +88,38 @@ def test_train_config_validation():
         {"patience": 0},
         {"validation_fraction": 0.0},
         {"validation_fraction": 1.0},
+        # seed=True used to fail in GraderModel after the last epoch, the 2.5s with
+        # a bare TypeError from numpy inside train; patience=1.5 and seed=-1 passed.
+        {"seed": True},
+        {"batch_size": 2.5},
+        {"max_epochs": 2.5},
+        {"seed": 2.5},
+        {"patience": 1.5},
+        {"seed": -1},
+        {"learning_rate": "0.01"},
+        {"dropout_prob": None},
     ]
     for kwargs in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
+
+
+def test_train_config_stores_each_field_as_its_type():
+    config = TrainConfig(learning_rate=np.float32(0.5), batch_size=np.int64(8), seed=np.uint8(3))
+    assert [type(v) for v in config.to_dict().values()] == [
+        type(f.default) for f in dataclasses.fields(TrainConfig)
+    ]
+    assert (config.learning_rate, config.batch_size, config.seed) == (0.5, 8, 3)
+
+
+def test_numpy_integer_settings_save_and_load(tmp_path):
+    # int64 thresholds or seed used to make saving raise TypeError: not JSON serializable.
+    thresholds = SizeThresholds(*np.array([10, 500, 1000, 10000]))
+    config = TrainConfig(max_epochs=1, seed=np.int64(3))
+    model = train(_toy_dataset(n=20), config, thresholds=thresholds, hidden_dims=TINY_DIMS)
+    save_model(model, tmp_path / "model.json")
+    again = load_model(tmp_path / "model.json")
+    assert again.thresholds == DEFAULT_THRESHOLDS and again.seed == 3
 
 
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if isinstance(f.default, float)]

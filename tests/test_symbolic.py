@@ -61,6 +61,22 @@ def test_bucket_of_matches_if_chain_oracle():
         assert words[got] == bucket_word(size, 10, 500, 1000, 10000)
 
 
+@pytest.mark.parametrize(
+    "cuts",
+    [(10.5, 500, 1000, 10000), ("a", "b", "c", "d"), (True, 500, 1000, 10000), (10, 500, 1000, 1e4)],
+    ids=["float", "strings", "bool", "float-last"],
+)
+def test_thresholds_must_be_integers(cuts):
+    with pytest.raises(ValueError, match="thresholds must be integers"):
+        SizeThresholds(*cuts)
+
+
+def test_thresholds_store_numpy_integers_as_int():
+    thresholds = SizeThresholds(*np.array([10, 500, 1000, 10000]))
+    assert thresholds == DEFAULT_THRESHOLDS
+    assert [type(t) for t in thresholds.as_tuple()] == [int] * 4
+
+
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
         SizeThresholds(10, 10, 1000, 10000)
@@ -114,6 +130,11 @@ def test_feature_vector_validation():
         FeatureVector(FeatureMode.EXTENDED, (0,) * 11)
     with pytest.raises(ValueError):
         FeatureVector(FeatureMode.SIMPLE, (1, -1, 0, 0))
+    for bad in (2.7, True, "3", np.float64(2.0), None):  # 2.7, True and "3" used to become 2, 1 and 3
+        with pytest.raises(ValueError, match="feature counts must be integers"):
+            FeatureVector(FeatureMode.SIMPLE, (bad, 0, 0, 0))
+    vector = FeatureVector(FeatureMode.SIMPLE, tuple(np.arange(4)))
+    assert vector.values == (0, 1, 2, 3) and [type(v) for v in vector.values] == [int] * 4
 
 
 def test_duplicate_and_missing_classes_rejected():
