@@ -409,6 +409,32 @@ def test_undecodable_json_names_the_file(pipeline, tmp_path, capsys, text, messa
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("doc", ["[]", '"x"', "1", "null"], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("command", ["extract", "train", "ablation", "predict", "explain"])
+def test_json_document_that_is_not_an_object_exits_2(pipeline, tmp_path, monkeypatch, capsys, command, doc):
+    # A --config file and a model file must each hold a JSON object.
+    def read_input(*args, **kwargs):
+        pytest.fail("input read after the JSON document was rejected")
+
+    for name in ("load_manifest", "read_features_csv", "ablation"):
+        monkeypatch.setattr(cli, name, read_input)
+    bad = tmp_path / "doc.json"
+    bad.write_text(doc)
+    manifest, features, out = pipeline / "data" / "manifest.csv", pipeline / "features.csv", tmp_path / "out"
+    args = {
+        "extract": ["extract", "--manifest", str(manifest), "--config", str(bad)],
+        "train": ["train", "--features", str(features), "--config", str(bad)],
+        "ablation": ["ablation", "--manifest", str(manifest), "--config", str(bad)],
+        "predict": ["predict", "--model", str(bad), "--features", str(features)],
+        "explain": ["explain", "--model", str(bad), "--features", str(features)],
+    }[command]
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {bad}: " in captured.err and "JSON object" in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_failed_write_leaves_no_partial_file(pipeline, tmp_path, capsys):
     # predictions CSV with an id the truth does not know
     pred = tmp_path / "pred.csv"
