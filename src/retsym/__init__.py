@@ -30,9 +30,6 @@ from .explain import (
 )
 from .grader import (
     DEFAULT_HIDDEN_DIMS,
-    DME_GRADE_NAMES,
-    DR_GRADE_NAMES,
-    GradePair,
     GraderModel,
     ModelFormatError,
     TrainConfig,
@@ -42,7 +39,10 @@ from .grader import (
     train,
 )
 from .mask_io import (
+    DME_GRADE_NAMES,
+    DR_GRADE_NAMES,
     MANIFEST_COLUMNS,
+    GradePair,
     LesionClass,
     LesionMask,
     ManifestError,

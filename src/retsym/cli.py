@@ -18,7 +18,6 @@ run does not leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -35,16 +34,18 @@ from .evaluation import (
     write_report_csv,
 )
 from .explain import render
-from .grader import (
-    DEFAULT_HIDDEN_DIMS,
+from .grader import DEFAULT_HIDDEN_DIMS, TrainConfig, load_model, predict_batch, save_model, train
+from .mask_io import (
+    MANIFEST_COLUMNS,
     GradePair,
-    TrainConfig,
-    load_model,
-    predict_batch,
-    save_model,
-    train,
+    as_number,
+    graded,
+    integers,
+    load_manifest,
+    read_csv,
+    read_json,
+    write_csv,
 )
-from .mask_io import MANIFEST_COLUMNS, as_number, integers, load_manifest, read_csv, read_text, write_csv
 from .symbolic import (
     DEFAULT_THRESHOLDS,
     FeatureMode,
@@ -96,16 +97,7 @@ def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
 
 
 def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    text = read_text(Path(path), ValueError, "config")
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return doc
+    return {} if path is None else read_json(Path(path), ValueError, "config")
 
 
 def _int_list(flag: str, text: str, count: Optional[int] = None) -> tuple[int, ...]:
@@ -218,17 +210,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _labeled_dataset(path: str | Path):
-    mode, rows = read_features_csv(path)
-    missing = [image_id for image_id, _, dr, dme in rows if dr is None or dme is None]
-    if missing:
-        raise ValueError(f"{path}: training needs grades for every row; missing for {missing[:5]}")
-    return mode, [(fv, GradePair(dr=dr, dme=dme)) for _, fv, dr, dme in rows]
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     _, config, options = _training_settings(args)
-    _, dataset = _labeled_dataset(args.features)
+    rows = read_features_csv(args.features)[1]
+    dataset = list(zip((fv for _, fv, _, _ in rows), graded(rows, f"{args.features}: training")))
     model = train(dataset, config, **options)
     out = Path(args.out)
     _atomic_write(out, lambda tmp: save_model(model, tmp))
@@ -278,13 +263,10 @@ def _reference_pairs(path: str | Path) -> dict[str, GradePair]:
     path = Path(path)
     records = read_csv(path, ValueError, "reference")
     if records and set(MANIFEST_COLUMNS).issubset(records[0][1]):
-        grades = [(r.image_id, r.dr_grade, r.dme_grade) for r in load_manifest(path)]
+        rows = [(r.image_id, r.dr_grade, r.dme_grade) for r in load_manifest(path)]
     else:
-        grades = [(image_id, dr, dme) for image_id, _, dr, dme in read_features_csv(path)[1]]
-    ungraded = [image_id for image_id, dr, _ in grades if dr is None]
-    if ungraded:
-        raise ValueError(f"{path}: image {ungraded[0]!r} has no grades")
-    return {image_id: GradePair(dr, dme) for image_id, dr, dme in grades}
+        rows = read_features_csv(path)[1]
+    return dict(zip((row[0] for row in rows), graded(rows, f"{path}: evaluate")))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -13,16 +13,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .grader import (
-    DEFAULT_HIDDEN_DIMS,
+from .grader import DEFAULT_HIDDEN_DIMS, TrainConfig, predict_batch, train
+from .mask_io import (
+    DME_GRADE_NAMES,
+    DR_GRADE_NAMES,
     GradePair,
-    N_DME_CLASSES,
-    N_DR_CLASSES,
-    TrainConfig,
-    predict_batch,
-    train,
+    ManifestRecord,
+    graded,
+    load_manifest,
+    load_mask,
+    write_csv,
 )
-from .mask_io import ManifestRecord, load_manifest, load_mask, write_csv
 from .regions import RegionSet, extract_regions
 from .symbolic import (
     DEFAULT_THRESHOLDS,
@@ -75,8 +76,8 @@ def evaluate(reference: Sequence[GradePair], predicted: Sequence[GradePair]) -> 
     """Score predictions against reference grades."""
     joint = joint_accuracy(reference, predicted)
     n = len(reference)
-    dr_conf = np.zeros((N_DR_CLASSES, N_DR_CLASSES), dtype=int)
-    dme_conf = np.zeros((N_DME_CLASSES, N_DME_CLASSES), dtype=int)
+    dr_conf = np.zeros((len(DR_GRADE_NAMES),) * 2, dtype=int)
+    dme_conf = np.zeros((len(DME_GRADE_NAMES),) * 2, dtype=int)
     dr_hits = dme_hits = 0
     for ref, pred in zip(reference, predicted):
         dr_conf[ref.dr, pred.dr] += 1
@@ -197,15 +198,10 @@ def ablation(
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     records = load_manifest(manifest_path)
-    unlabeled = [record.image_id for record in records if not record.labeled]
-    if unlabeled:
-        raise ValueError(
-            f"ablation needs grades for every image; missing for {unlabeled[:5]}"
-        )
+    labels = graded([(r.image_id, r.dr_grade, r.dme_grade) for r in records], "ablation")
     n = len(records)
     if n < 5:
         raise ValueError(f"ablation needs at least 5 labeled images, got {n}")
-    labels = [GradePair(dr=record.dr_grade, dme=record.dme_grade) for record in records]
     # As in features_for_mode, map() drops each image before reading the next.
     both_modes = map(
         lambda img: [features_of(img.region_sets, mode, thresholds) for mode in FeatureMode],

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .grader import DR_GRADE_NAMES, GradePair
+from .mask_io import DR_GRADE_NAMES, GradePair
 from .symbolic import LESION_ORDER, SIZE_WORDS, FeatureMode, FeatureVector
 
 NO_LESION_PHRASE = "no lesion regions are detected"

@@ -21,16 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mask_io import DME_GRADE_RANGE, DR_GRADE_RANGE, as_number, integers, read_text
+from .mask_io import DME_GRADE_NAMES, DR_GRADE_NAMES, GradePair, as_number, integers, read_json
 from .symbolic import DEFAULT_THRESHOLDS, FeatureMode, FeatureVector, SizeThresholds
 
-DR_GRADE_NAMES = ("no DR", "mild NPDR", "moderate NPDR", "severe NPDR", "PDR")
-DME_GRADE_NAMES = ("no EX", "EX outside macula center", "EX within macula center")
-
 DEFAULT_HIDDEN_DIMS = (25, 50, 75, 100, 75, 50, 25, 12)
-
-N_DR_CLASSES = 5
-N_DME_CLASSES = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -43,23 +37,6 @@ MODEL_FORMAT_VERSION = 1
 
 class ModelFormatError(ValueError):
     """Raised for unreadable or inconsistent model files."""
-
-
-@dataclass(frozen=True, order=True)
-class GradePair:
-    """A (DR, DME) grade pair: DR in 0..4, DME in 0..2."""
-
-    dr: int
-    dme: int
-
-    def __post_init__(self) -> None:
-        dr, dme = integers((self.dr, self.dme), "DR and DME grades")
-        object.__setattr__(self, "dr", dr)
-        object.__setattr__(self, "dme", dme)
-        if self.dr not in DR_GRADE_RANGE:
-            raise ValueError(f"DR grade {self.dr} outside 0..4")
-        if self.dme not in DME_GRADE_RANGE:
-            raise ValueError(f"DME grade {self.dme} outside 0..2")
 
 
 @dataclass(frozen=True)
@@ -117,11 +94,9 @@ class GraderModel:
     training_meta: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.trunk_dims = integers(self.trunk_dims, "trunk_dims", ModelFormatError)
+        self.trunk_dims = dims = _check_dims(self.trunk_dims, self.feature_mode)
         if self.seed is not None:
             (self.seed,) = integers([self.seed], "seed", ModelFormatError)
-        dims = self.trunk_dims
-        _check_dims(dims, self.feature_mode)
         n_params = _n_params(dims)
         if self.params.shape != (n_params,):
             raise ModelFormatError(
@@ -141,7 +116,9 @@ class GraderModel:
             raise ModelFormatError(f"training section is not strict JSON: {exc}") from None
 
 
-def _check_dims(trunk_dims: tuple[int, ...], mode: FeatureMode) -> None:
+def _check_dims(trunk_dims: Sequence[int], mode: FeatureMode) -> tuple[int, ...]:
+    """``trunk_dims`` as ints: the input width of ``mode``, then layer widths, all positive."""
+    trunk_dims = integers(trunk_dims, "trunk_dims", ModelFormatError)
     if len(trunk_dims) < 2 or min(trunk_dims) < 1:
         raise ModelFormatError(
             "trunk_dims must list the input width and at least one layer width, all positive"
@@ -151,6 +128,7 @@ def _check_dims(trunk_dims: tuple[int, ...], mode: FeatureMode) -> None:
             f"trunk_dims[0] == {trunk_dims[0]} but {mode.value} "
             f"features have length {mode.length}"
         )
+    return trunk_dims
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +143,8 @@ def _layout(trunk_dims: Sequence[int]) -> list[tuple[str, int, int]]:
     """
     pairs = zip(trunk_dims[:-1], trunk_dims[1:])
     layers = [(f"trunk layer {k}", fan_in, fan_out) for k, (fan_in, fan_out) in enumerate(pairs)]
-    layers.append(("dr_head", trunk_dims[-1], N_DR_CLASSES))
-    layers.append(("dme_head", trunk_dims[-1], N_DME_CLASSES))
+    layers.append(("dr_head", trunk_dims[-1], len(DR_GRADE_NAMES)))
+    layers.append(("dme_head", trunk_dims[-1], len(DME_GRADE_NAMES)))
     return layers
 
 
@@ -373,8 +351,7 @@ def train(
     mode = dataset[0][0].mode
     if any(fv.mode is not mode for fv, _ in dataset):
         raise ValueError("all feature vectors must share one mode")
-    trunk_dims = integers((mode.length, *hidden_dims), "trunk_dims", ModelFormatError)
-    _check_dims(trunk_dims, mode)
+    trunk_dims = _check_dims((mode.length, *hidden_dims), mode)
 
     raw = np.array([fv.values for fv, _ in dataset], dtype=np.float64)
     y_dr_all = np.array([label.dr for _, label in dataset], dtype=np.intp)
@@ -540,9 +517,7 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
-def _model_from_doc(doc: object) -> GraderModel:
-    if not isinstance(doc, dict):
-        raise ModelFormatError("expected a JSON object")
+def _model_from_doc(doc: dict) -> GraderModel:
     version = doc.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, not 1.0
         raise ModelFormatError(f"unknown format_version {version!r}")
@@ -558,13 +533,12 @@ def _model_from_doc(doc: object) -> GraderModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad thresholds: {exc}") from None
     try:
-        trunk_dims = integers(doc["trunk_dims"], "trunk_dims", ModelFormatError)
+        trunk_dims = _check_dims(doc["trunk_dims"], mode)
         trunk = doc["trunk"]
         if not isinstance(trunk, list):
             raise TypeError("trunk must be a list")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad trunk structure: {exc}") from None
-    _check_dims(trunk_dims, mode)
 
     # Each section must match the layout that trunk_dims implies before the
     # flat vector is built from them.
@@ -594,11 +568,7 @@ def _model_from_doc(doc: object) -> GraderModel:
 
 def load_model(path: str | Path) -> GraderModel:
     path = Path(path)
-    text = read_text(path, ModelFormatError, "model")
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ModelFormatError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path, ModelFormatError, "model")
     try:
         return _model_from_doc(doc)
     except ModelFormatError as exc:

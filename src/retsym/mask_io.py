@@ -1,4 +1,4 @@
-"""Binary lesion-mask I/O, the dataset manifest, and the one CSV reader and writer.
+"""Binary lesion-mask I/O, the dataset manifest, grades, and the one reader of each input kind.
 
 Masks are single-channel PGM rasters (P2 ASCII or P5 binary, maxval <= 255).
 A P2 sample is a token of ASCII digits (leading zeros allowed); ``#`` comments
@@ -6,9 +6,9 @@ run to end of line anywhere between tokens.  P2 samples go through numpy's
 text parser once comments are blanked out; a file it cannot read is scanned
 token by token, and the error's offset names the offending token.  A pixel is
 lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
-binding four per-class mask files and an optional (DR, DME) label pair to each
-image id; :func:`read_csv` reads every CSV input and :func:`write_csv` writes
-every CSV output; :func:`is_number` decides what counts as an integer or number.
+binding four per-class mask files and an optional :class:`GradePair` to each
+image id.  Each input rule lives here once (grades, file, text, JSON and CSV
+reads, integers); :func:`write_csv` writes every CSV output.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +31,10 @@ _PGM_SPACE = b" \t\r\n\x0b\x0c"
 # then " " or a newline, NUL-padded to four bytes.
 _P2_CELLS = np.frombuffer(b"0 \x00\x00255 0\n\x00\x00255\n", dtype=np.uint8).reshape(2, 2, 4)
 
-DR_GRADE_RANGE = range(0, 5)
-DME_GRADE_RANGE = range(0, 3)
+DR_GRADE_NAMES = ("no DR", "mild NPDR", "moderate NPDR", "severe NPDR", "PDR")
+DME_GRADE_NAMES = ("no EX", "EX outside macula center", "EX within macula center")
+DR_GRADE_RANGE = range(len(DR_GRADE_NAMES))
+DME_GRADE_RANGE = range(len(DME_GRADE_NAMES))
 
 
 class LesionClass(enum.Enum):
@@ -132,7 +135,7 @@ def _pgm_error(path: Path, message: str, offset: int) -> MaskFormatError:
 
 def _read_pgm(path: Path) -> np.ndarray:
     """Read a PGM file (P2 or P5, maxval <= 255) into a uint8 (H, W) array."""
-    data = path.read_bytes()
+    data = read_bytes(path, MaskFormatError, "mask")
     pos, header = 0, []  # the magic number, then width, height and maxval as ints
     for what in ("magic number", "width", "height", "maxval"):
         match = _PGM_TOKEN.match(data, pos)
@@ -216,11 +219,7 @@ def _read_p2_samples(data: bytes, base: int, path: Path, maxval: int, count: int
 
 def load_mask(path: str | Path, lesion_class: LesionClass) -> LesionMask:
     """Load one PGM mask; sample values above 127 become foreground."""
-    path = Path(path)
-    if not path.is_file():
-        raise MaskFormatError(f"{path}: mask file does not exist")
-    samples = _read_pgm(path)
-    return LesionMask(pixels=samples > BINARIZE_THRESHOLD, lesion_class=lesion_class)
+    return LesionMask(pixels=_read_pgm(Path(path)) > BINARIZE_THRESHOLD, lesion_class=lesion_class)
 
 
 def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) -> None:
@@ -244,20 +243,37 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Text and CSV input and output; the manifest
+# File, text, JSON and CSV input and output; grades; the manifest
+
+
+def read_bytes(path: Path, error: type[ValueError], what: str) -> bytes:
+    """A file's bytes; a path that is not a regular file (a FIFO would hang the read) raises ``error``."""
+    if not path.is_file():
+        raise error(f"{path}: {what} file does not exist")
+    return path.read_bytes()
 
 
 def read_text(path: Path, error: type[ValueError], what: str) -> str:
-    """A file's UTF-8 text.  A missing file or bytes that are not UTF-8 raise
-    ``error`` naming the file, and for bad bytes the line (as csv counts it)."""
-    if not path.is_file():
-        raise error(f"{path}: {what} file does not exist")
-    data = path.read_bytes()
+    """A file's UTF-8 text.  Besides :func:`read_bytes`'s error, bytes that are
+    not UTF-8 raise ``error`` naming the file and the line (as csv counts it)."""
+    data = read_bytes(path, error, what)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len(io.StringIO(data[: exc.start].decode() + "x", newline="").readlines())
         raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: Path, error: type[ValueError], what: str) -> dict:
+    """The JSON object in a UTF-8 file; anything else raises ``error`` naming the file."""
+    text = read_text(path, error, what)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def read_csv(path: Path, error: type[ValueError], what: str) -> list[tuple[int, list[str]]]:
@@ -308,6 +324,27 @@ def integers(values: Iterable, name: str, error: type[ValueError] = ValueError) 
     return ints
 
 
+@dataclass(frozen=True, order=True)
+class GradePair:
+    """A (DR, DME) grade pair: an index into DR_GRADE_NAMES and one into DME_GRADE_NAMES."""
+
+    dr: int
+    dme: int
+
+    def __post_init__(self) -> None:
+        pair = check_grades(*integers((self.dr, self.dme), "DR and DME grades"))
+        for name, grade in zip(("dr", "dme"), pair):
+            object.__setattr__(self, name, grade)
+
+
+def check_grades(dr: int, dme: int) -> tuple[int, int]:
+    """``(dr, dme)`` if ``dr`` is a DR grade and ``dme`` a DME grade, else a ValueError."""
+    for column, grade, valid in (("dr_grade", dr, DR_GRADE_RANGE), ("dme_grade", dme, DME_GRADE_RANGE)):
+        if grade not in valid:
+            raise ValueError(f"{column} {grade} out of range {valid.start}..{valid.stop - 1}")
+    return dr, dme
+
+
 def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[int]]:
     """A (DR, DME) pair from two cells: both empty, or both integers in range."""
     cells = (dr_cell.strip(), dme_cell.strip())
@@ -316,15 +353,20 @@ def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[i
     if not all(cells):
         raise ValueError("dr_grade and dme_grade must be present together or absent together")
     grades = []
-    for column, text, valid in zip(("dr_grade", "dme_grade"), cells, (DR_GRADE_RANGE, DME_GRADE_RANGE)):
+    for column, text in zip(("dr_grade", "dme_grade"), cells):
         try:
-            grade = int(text)
+            grades.append(int(text))
         except ValueError:
             raise ValueError(f"{column} {text!r} is not an integer") from None
-        if grade not in valid:
-            raise ValueError(f"{column} {grade} out of range {valid.start}..{valid.stop - 1}")
-        grades.append(grade)
-    return grades[0], grades[1]
+    return check_grades(*grades)
+
+
+def graded(rows: Sequence[tuple], what: str) -> list[GradePair]:
+    """The grade pair of each row (image id, ..., DR, DME); ungraded rows raise ValueError."""
+    missing = [row[0] for row in rows if row[-2] is None]
+    if missing:
+        raise ValueError(f"{what} needs grades for every image; missing for {missing[:5]}")
+    return [GradePair(row[-2], row[-1]) for row in rows]
 
 
 def load_manifest(path: str | Path) -> list[ManifestRecord]:

@@ -28,8 +28,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grader import GradePair
-from .mask_io import LesionClass, LesionMask, read_csv, save_mask, write_csv, write_manifest
+from .mask_io import (
+    DME_GRADE_RANGE,
+    DR_GRADE_RANGE,
+    GradePair,
+    LesionClass,
+    LesionMask,
+    read_csv,
+    save_mask,
+    write_csv,
+    write_manifest,
+)
 from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SIZE_WORDS, SizeThresholds
 
 GROUND_TRUTH_COLUMNS = (
@@ -112,8 +121,8 @@ class SynthSpec:
     large_size: tuple[int, int] = (1001, 2400)
     noise_size: tuple[int, int] = (1, 10)
     noise_count: tuple[int, int] = (0, 2)
-    active_dr_grades: tuple[int, ...] = (0, 1, 2, 3, 4)
-    active_dme_grades: tuple[int, ...] = (0, 1, 2)
+    active_dr_grades: tuple[int, ...] = tuple(DR_GRADE_RANGE)
+    active_dme_grades: tuple[int, ...] = tuple(DME_GRADE_RANGE)
 
     def __post_init__(self) -> None:
         if self.n_images < 0:
@@ -133,9 +142,9 @@ class SynthSpec:
                 )
         if not (0 <= self.noise_count[0] <= self.noise_count[1]):
             raise ValueError(f"bad noise_count range {self.noise_count}")
-        if not self.active_dr_grades or any(g not in range(5) for g in self.active_dr_grades):
+        if not self.active_dr_grades or any(g not in DR_GRADE_RANGE for g in self.active_dr_grades):
             raise ValueError(f"bad active_dr_grades {self.active_dr_grades}")
-        if not self.active_dme_grades or any(d not in range(3) for d in self.active_dme_grades):
+        if not self.active_dme_grades or any(d not in DME_GRADE_RANGE for d in self.active_dme_grades):
             raise ValueError(f"bad active_dme_grades {self.active_dme_grades}")
 
     def size_range(self, bucket: int) -> tuple[int, int]:
