@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .grader import DEFAULT_HIDDEN_DIMS, TrainConfig, predict_batch, train
+from .grader import DEFAULT_HIDDEN_DIMS, TrainConfig, _check_dims, predict_batch, train
 from .mask_io import (
     DME_GRADE_NAMES,
     DR_GRADE_NAMES,
@@ -189,14 +189,16 @@ def ablation(
 ) -> AblationResult:
     """Train and score both feature modes on one shared train/test split.
 
-    Grades are checked before any mask is read.  Masks are loaded and
-    regions extracted once, one image at a time; the two arms differ only in
-    how regions are summarized into features.  The split permutation and
+    Grades and ``hidden_dims`` are checked before any mask is read.  Masks
+    are loaded and regions extracted once, one image at a time; the two arms
+    differ only in how regions are summarized into features.  The split permutation and
     both arms' training runs draw from the same ``config.seed``, so the
     comparison is paired.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    for mode in FeatureMode:
+        _check_dims((mode.length, *hidden_dims), mode)
     records = load_manifest(manifest_path)
     labels = graded([(r.image_id, r.dr_grade, r.dme_grade) for r in records], "ablation")
     n = len(records)

@@ -174,10 +174,18 @@ def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
         if image_id in seen:
             raise FeaturesCsvError(f"{path}: line {line}: duplicate image_id {image_id!r}")
         seen.add(image_id)
-        try:
-            vector = FeatureVector(mode=mode, values=tuple(int(c) for c in cells[1:-2]))
-            dr, dme = parse_grades(cells[-2], cells[-1])
-        except ValueError as exc:
-            raise FeaturesCsvError(f"{path}: line {line}: {exc}") from None
-        rows.append((image_id, vector, dr, dme))
+        rows.append(parse_feature_row(path, line, cells, mode))
     return mode, rows
+
+
+def parse_feature_row(
+    path: str | Path, line: int, cells: list[str], mode: FeatureMode,
+    error: type[ValueError] = FeaturesCsvError,
+) -> FeatureRow:
+    """A row laid out as in a features CSV: the image id, ``mode``'s counts, then
+    the grade cells.  A bad count or grade raises ``error`` naming the file and line."""
+    try:
+        vector = FeatureVector(mode=mode, values=tuple(int(c) for c in cells[1:-2]))
+        return (cells[0], vector, *parse_grades(cells[-2], cells[-1]))
+    except ValueError as exc:
+        raise error(f"{path}: line {line}: {exc}") from None

@@ -34,12 +34,22 @@ from .mask_io import (
     GradePair,
     LesionClass,
     LesionMask,
+    as_number,
+    graded,
+    integers,
     read_csv,
     save_mask,
     write_csv,
     write_manifest,
 )
-from .symbolic import DEFAULT_THRESHOLDS, LESION_ORDER, SIZE_WORDS, SizeThresholds
+from .symbolic import (
+    DEFAULT_THRESHOLDS,
+    LESION_ORDER,
+    SIZE_WORDS,
+    FeatureMode,
+    SizeThresholds,
+    parse_feature_row,
+)
 
 GROUND_TRUTH_COLUMNS = (
     "image_id",
@@ -125,8 +135,14 @@ class SynthSpec:
     active_dme_grades: tuple[int, ...] = tuple(DME_GRADE_RANGE)
 
     def __post_init__(self) -> None:
-        if self.n_images < 0:
-            raise ValueError("n_images must be >= 0")
+        for name in ("n_images", "width", "height", "seed"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), int))
+        for name in ("small_size", "medium_size", "large_size", "noise_size", "noise_count",
+                     "active_dr_grades", "active_dme_grades"):
+            object.__setattr__(self, name, integers(getattr(self, name), name))
+        for name in ("n_images", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.width < 8 or self.height < 8:
             raise ValueError(f"canvas {self.width}x{self.height} is too small")
         t = self.thresholds
@@ -395,11 +411,10 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
     failure, files written so far are removed.
     """
     out_dir = Path(out_dir)
-    mask_dir = out_dir / "masks"
-    mask_dir.mkdir(parents=True, exist_ok=True)
+    plans = plan_dataset(spec)  # first, so that a spec that cannot be packed makes no directory
+    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        plans = plan_dataset(spec)
         manifest_rows = []
         truth_rows = []
         for plan in plans:
@@ -432,14 +447,19 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
 
 
 def read_ground_truth(path: str | Path) -> list[tuple[str, np.ndarray, GradePair]]:
-    """Read a ground-truth sidecar back into (image_id, (4, 3) counts, label)."""
+    """Read a ground-truth sidecar back into (image_id, (4, 3) counts, label).
+    Its counts and grades follow the rules of an extended features CSV, and
+    every row must be graded."""
     records = read_csv(Path(path), ValueError, "ground-truth")
     if not records or records[0][1] != list(GROUND_TRUTH_COLUMNS):
         raise ValueError(f"{path}: not a ground-truth sidecar")
-    out = []
+    rows = []
     for line, cells in records[1:]:
         if len(cells) != len(GROUND_TRUTH_COLUMNS):
             raise ValueError(f"{path}: line {line}: malformed row {cells!r}")
-        counts = np.array([int(c) for c in cells[1:13]], dtype=int).reshape(4, 3)
-        out.append((cells[0], counts, GradePair(int(cells[13]), int(cells[14]))))
-    return out
+        rows.append(parse_feature_row(path, line, cells, FeatureMode.EXTENDED, ValueError))
+    labels = graded(rows, f"{path}: ground truth")
+    return [
+        (image_id, np.array(fv.values, dtype=int).reshape(4, 3), label)
+        for (image_id, fv, _, _), label in zip(rows, labels)
+    ]

@@ -228,6 +228,22 @@ def test_model_thresholds_must_be_four(pipeline, tmp_path, capsys, thresholds):
     assert "must be a list of 4 integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--seed", "-1"], "error: seed must be >= 0"),
+    (["--canvas", "8x8"], "cannot pack"),
+    (["--canvas", "16x16"], "cannot pack"),
+    (["--canvas", "32x32"], "cannot pack"),
+], ids=["negative-seed", "8x8", "16x16", "32x32"])
+def test_failed_synth_leaves_no_directory(tmp_path, capsys, args, message):
+    # Each used to leave an empty masks/ directory under --out; the negative
+    # seed's message named no option.
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--n", "3", *args]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "extract", "train", "ablation"])
 def test_empty_thresholds_flag_exits_2(pipeline, tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -180,6 +180,11 @@ GROUND_TRUTH_CASES = {
     "short-row": (GROUND_TRUTH_HEADER + b"\na,1,2\n", ValueError),
     "not-an-integer": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",5,", b",x,") + b"\n",
                        ValueError),
+    "negative-count": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",5,", b",-3,") + b"\n",
+                       ValueError),
+    "bad-grade": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",2,1", b",9,1") + b"\n",
+                  ValueError),
+    "ungraded": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",2,1", b",,") + b"\n", ValueError),
 }
 
 
@@ -194,3 +199,17 @@ def test_ground_truth_edge_cases(tmp_path, name):
                 for image_id, counts, label in read_ground_truth(path)]
 
     _outcome(read, path, expected)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("not-an-integer", "invalid literal for int() with base 10: 'x'"),
+    ("negative-count", "feature counts must be in 0..2**53-1"),
+    ("bad-grade", "dr_grade 9 out of range 0..4"),
+], ids=["not-an-integer", "negative-count", "bad-grade"])
+def test_ground_truth_row_errors_name_the_file_and_line(tmp_path, name, message):
+    # A count of -3 used to be accepted; the other two named no file or line.
+    path = tmp_path / "ground_truth.csv"
+    path.write_bytes(GROUND_TRUTH_CASES[name][0])
+    with pytest.raises(ValueError) as exc:
+        read_ground_truth(path)
+    assert str(exc.value).startswith(f"{path}: line 2: {message}"), exc.value

@@ -10,6 +10,7 @@ from retsym import (
     LabelRule,
     LesionClass,
     LesionMask,
+    ModelFormatError,
     SynthSpec,
     TrainConfig,
     ablation,
@@ -214,6 +215,18 @@ def test_ablation_checks_grades_before_reading_masks(tmp_path, small_synth_dir, 
     with pytest.raises(ValueError) as info:
         ablation(stripped, TrainConfig(), hidden_dims=(8,))
     assert str(info.value) == f"ablation needs grades for every image; missing for {ids}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("hidden_dims", [(0,), (), (8, 2.5)], ids=["zero", "empty", "not-integer"])
+def test_ablation_checks_hidden_dims_before_reading_masks(small_synth_dir, monkeypatch, hidden_dims):
+    # A zero width used to raise only after every mask had been read and labeled.
+    _, manifest = small_synth_dir
+    calls = []
+    load_mask = evaluation.load_mask
+    monkeypatch.setattr(evaluation, "load_mask", lambda *a: calls.append(a) or load_mask(*a))
+    with pytest.raises(ModelFormatError, match="trunk_dims"):
+        ablation(manifest, TrainConfig(max_epochs=1), hidden_dims=hidden_dims)
     assert calls == []
 
 

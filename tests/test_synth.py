@@ -141,6 +141,26 @@ def test_spec_validation():
         SynthSpec(n_images=1, active_dme_grades=())
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_images", 2.5), ("width", 64.5), ("height", "64"), ("seed", True), ("seed", -1),
+    ("small_size", (11.5, 80)), ("noise_count", (0, None)), ("active_dr_grades", (0, 1.0)),
+])
+def test_spec_fields_follow_the_integer_rule(field, value):
+    # 2.5 images and a 64.5 px canvas used to fail only in generate, with a bare
+    # TypeError; seed=True was kept as True and seed=-1 failed inside numpy.
+    with pytest.raises(ValueError, match=field):
+        SynthSpec(**{"n_images": 2, "width": 64, "height": 64, field: value})
+
+
+def test_spec_stores_numpy_integers_as_ints():
+    spec = SynthSpec(n_images=np.int64(2), width=np.int32(64), height=64, seed=np.uint8(3),
+                     small_size=(np.int64(11), 80), active_dme_grades=[0, np.int64(1)])
+    assert (spec.n_images, spec.width, spec.seed) == (2, 64, 3)
+    assert type(spec.n_images) is type(spec.width) is type(spec.seed) is int
+    assert spec.small_size == (11, 80) and type(spec.small_size[0]) is int
+    assert spec.active_dme_grades == (0, 1)
+
+
 def test_size_range_accessor():
     spec = SynthSpec(n_images=1)
     assert spec.size_range(0) == spec.small_size
@@ -381,6 +401,7 @@ def test_generate_cleans_up_after_failure(tmp_path):
     with pytest.raises(PackingError):
         generate(spec, out)
     assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not out.exists()  # the plan fails before any directory is made
 
 
 # The tree's bytes follow from the spec through the order of the random
