@@ -339,9 +339,10 @@ class GradePair:
 
 def check_grades(dr: int, dme: int) -> tuple[int, int]:
     """``(dr, dme)`` if ``dr`` is a DR grade and ``dme`` a DME grade, else a ValueError."""
-    for column, grade, valid in (("dr_grade", dr, DR_GRADE_RANGE), ("dme_grade", dme, DME_GRADE_RANGE)):
-        if grade not in valid:
-            raise ValueError(f"{column} {grade} out of range {valid.start}..{valid.stop - 1}")
+    if dr not in DR_GRADE_RANGE:
+        raise ValueError(f"dr_grade {dr} out of range 0..{DR_GRADE_RANGE[-1]}")
+    if dme not in DME_GRADE_RANGE:
+        raise ValueError(f"dme_grade {dme} out of range 0..{DME_GRADE_RANGE[-1]}")
     return dr, dme
 
 
