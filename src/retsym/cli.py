@@ -44,6 +44,7 @@ from .mask_io import (
     load_manifest,
     read_csv,
     read_json,
+    read_table,
     write_csv,
 )
 from .symbolic import (
@@ -78,18 +79,8 @@ def write_predictions_csv(path: str | Path, rows: Sequence[tuple[str, GradePair]
 
 
 def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
-    records = read_csv(Path(path), ValueError, "predictions")
-    if not records or records[0][1] != list(PREDICTIONS_COLUMNS):
-        raise ValueError(f"{path}: expected header {','.join(PREDICTIONS_COLUMNS)!r}")
-    rows = []
-    for line, cells in records[1:]:
-        if len(cells) != 3:
-            raise ValueError(f"{path}: line {line}: expected 3 columns, got {len(cells)}")
-        try:
-            rows.append((cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line}: {exc}") from None
-    return rows
+    return read_table(Path(path), ValueError, "predictions", [PREDICTIONS_COLUMNS],
+                      lambda cells: (cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +267,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     missing = [i for i in pred_ids if i not in reference]
     if missing:
         raise ValueError(f"{args.pred}: no reference grades for {missing[:5]}")
-    if len(set(pred_ids)) != len(pred_ids):
-        raise ValueError(f"{args.pred}: duplicate image ids")
     if not predictions:
         raise ValueError(f"{args.pred}: no predictions to score")
     report = evaluate([reference[i] for i in pred_ids], [p for _, p in predictions])

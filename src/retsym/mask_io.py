@@ -8,7 +8,8 @@ token by token, and the error's offset names the offending token.  A pixel is
 lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
 binding four per-class mask files and an optional :class:`GradePair` to each
 image id.  Each input rule lives here once (grades, file, text, JSON and CSV
-reads, integers); :func:`write_csv` writes every CSV output.
+reads, fixed-header CSV tables, integers); :func:`write_csv` writes every CSV
+output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -249,7 +250,7 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 def read_bytes(path: Path, error: type[ValueError], what: str) -> bytes:
     """A file's bytes; a path that is not a regular file (a FIFO would hang the read) raises ``error``."""
     if not path.is_file():
-        raise error(f"{path}: {what} file does not exist")
+        raise error(f"{path}: {what} file {'is not a regular file' if path.exists() else 'does not exist'}")
     return path.read_bytes()
 
 
@@ -285,6 +286,35 @@ def read_csv(path: Path, error: type[ValueError], what: str) -> list[tuple[int, 
         return [(reader.line_num, cells) for cells in reader]
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def read_table(path: Path, error: type[ValueError], what: str, headers: Sequence[Sequence[str]],
+               parse_row: Callable[[list[str]], tuple]) -> tuple[tuple[str, ...], list[tuple]]:
+    """The header and parsed rows of a CSV table read by :func:`read_csv`.
+
+    The header must be one of ``headers`` (an empty file has none), each row
+    needs one cell per header column, and its first cell, the image id, must
+    be unique.  ``parse_row(cells)`` makes a row's record; its ValueError, like
+    a row that breaks these rules, raises ``error`` naming the file and line.
+    """
+    records = read_csv(path, error, what)
+    header = tuple(records[0][1]) if records else None
+    if header not in map(tuple, headers):
+        found = f"header {','.join(header)!r}" if records else "an empty file"
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise error(f"{path}: not a {what} file: expected header {expected}, found {found}")
+    rows, seen = [], set()
+    for line, cells in records[1:]:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"malformed row: expected {len(header)} cells, got {len(cells)}")
+            if cells[0] in seen:
+                raise ValueError(f"duplicate image_id {cells[0]!r}")
+            seen.add(cells[0])
+            rows.append(parse_row(cells))
+        except ValueError as exc:
+            raise error(f"{path}: line {line}: {exc}") from None
+    return header, rows
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import LesionClass, integers, parse_grades, read_csv, write_csv
+from .mask_io import LesionClass, integers, parse_grades, read_table, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -144,6 +144,11 @@ def features_header(mode: FeatureMode) -> list[str]:
     return ["image_id"] + [f"f{i}" for i in range(1, mode.length + 1)] + ["dr_grade", "dme_grade"]
 
 
+# The mode of a features-CSV header or row, by its cell count.  A dict, since
+# every row is looked up and reading an enum member costs more.
+_MODE_OF_WIDTH = {len(features_header(mode)): mode for mode in FeatureMode}
+
+
 def write_features_csv(path: str | Path, mode: FeatureMode, rows: Sequence[FeatureRow]) -> None:
     for image_id, vector, _, _ in rows:
         if vector.mode is not mode:
@@ -156,36 +161,14 @@ def write_features_csv(path: str | Path, mode: FeatureMode, rows: Sequence[Featu
 
 def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
     """Read a features CSV, inferring the mode from the column count."""
-    records = read_csv(Path(path), FeaturesCsvError, "features")
-    if not records:
-        raise FeaturesCsvError(f"{path}: empty file")
-    header = records[0][1]
-    for mode in FeatureMode:
-        if header == features_header(mode):
-            break
-    else:
-        raise FeaturesCsvError(f"{path}: unrecognized header {header!r}")
-    rows: list[FeatureRow] = []
-    seen: set[str] = set()
-    for line, cells in records[1:]:
-        if len(cells) != len(header):
-            raise FeaturesCsvError(f"{path}: line {line}: expected {len(header)} cells, got {len(cells)}")
-        image_id = cells[0]
-        if image_id in seen:
-            raise FeaturesCsvError(f"{path}: line {line}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        rows.append(parse_feature_row(path, line, cells, mode))
-    return mode, rows
+    headers = [features_header(mode) for mode in FeatureMode]
+    header, rows = read_table(Path(path), FeaturesCsvError, "features", headers, parse_feature_row)
+    return _MODE_OF_WIDTH[len(header)], rows
 
 
-def parse_feature_row(
-    path: str | Path, line: int, cells: list[str], mode: FeatureMode,
-    error: type[ValueError] = FeaturesCsvError,
-) -> FeatureRow:
-    """A row laid out as in a features CSV: the image id, ``mode``'s counts, then
-    the grade cells.  A bad count or grade raises ``error`` naming the file and line."""
-    try:
-        vector = FeatureVector(mode=mode, values=tuple(int(c) for c in cells[1:-2]))
-        return (cells[0], vector, *parse_grades(cells[-2], cells[-1]))
-    except ValueError as exc:
-        raise error(f"{path}: line {line}: {exc}") from None
+def parse_feature_row(cells: list[str]) -> FeatureRow:
+    """A features-CSV or ``ground_truth.csv`` row of 7 or 15 cells: the image id,
+    the counts of the mode that width gives, then the grade cells.  A bad count
+    or grade raises ValueError."""
+    vector = FeatureVector(mode=_MODE_OF_WIDTH[len(cells)], values=tuple(int(c) for c in cells[1:-2]))
+    return (cells[0], vector, *parse_grades(cells[-2], cells[-1]))

@@ -37,7 +37,7 @@ from .mask_io import (
     as_number,
     graded,
     integers,
-    read_csv,
+    read_table,
     save_mask,
     write_csv,
     write_manifest,
@@ -46,7 +46,6 @@ from .symbolic import (
     DEFAULT_THRESHOLDS,
     LESION_ORDER,
     SIZE_WORDS,
-    FeatureMode,
     SizeThresholds,
     parse_feature_row,
 )
@@ -135,6 +134,9 @@ class SynthSpec:
     active_dme_grades: tuple[int, ...] = tuple(DME_GRADE_RANGE)
 
     def __post_init__(self) -> None:
+        for name, kind in (("rule", LabelRule), ("thresholds", SizeThresholds)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("n_images", "width", "height", "seed"):
             object.__setattr__(self, name, as_number(name, getattr(self, name), int))
         for name in ("small_size", "medium_size", "large_size", "noise_size", "noise_count",
@@ -379,7 +381,8 @@ def plan_dataset(spec: SynthSpec) -> list[ImagePlan]:
         dr, dme = _sample_targets(rng, spec)
         counts = _sample_bucket_counts(rng, spec.rule, dr, dme)
         label = label_rule(counts, spec.rule)
-        assert label == GradePair(dr, dme), "sampler produced rule-inconsistent counts"
+        if label != GradePair(dr, dme):
+            raise RuntimeError(f"sampler produced rule-inconsistent counts for {image_id}")
         shapes: dict[LesionClass, tuple[PlacedShape, ...]] = {}
         for row, cls in enumerate(LESION_ORDER):
             noise = int(rng.integers(spec.noise_count[0], spec.noise_count[1] + 1))
@@ -408,13 +411,16 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
     Layout: ``masks/<image_id>_<CLASS>.pgm`` per mask, ``manifest.csv`` with
     rule-derived labels, and ``ground_truth.csv`` carrying the planted
     bucket counts.  Identical specs produce byte-identical trees.  On
-    failure, files written so far are removed.
+    failure, files written so far are removed, then the directories this
+    call made.
     """
     out_dir = Path(out_dir)
     plans = plan_dataset(spec)  # first, so that a spec that cannot be packed makes no directory
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
+    masks = out_dir / "masks"
+    made = [d for d in (masks, *masks.parents) if not d.exists()]  # deepest first
     written: list[Path] = []
     try:
+        masks.mkdir(parents=True, exist_ok=True)
         manifest_rows = []
         truth_rows = []
         for plan in plans:
@@ -438,9 +444,9 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
         write_csv(truth_path, GROUND_TRUTH_COLUMNS, truth_rows)
         return manifest_path
     except BaseException:
-        for path in written:
+        for remove in [*(path.unlink for path in written), *(d.rmdir for d in made)]:
             try:
-                path.unlink()
+                remove()
             except OSError:
                 pass
         raise
@@ -448,16 +454,11 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> Path:
 
 def read_ground_truth(path: str | Path) -> list[tuple[str, np.ndarray, GradePair]]:
     """Read a ground-truth sidecar back into (image_id, (4, 3) counts, label).
-    Its counts and grades follow the rules of an extended features CSV, and
-    every row must be graded."""
-    records = read_csv(Path(path), ValueError, "ground-truth")
-    if not records or records[0][1] != list(GROUND_TRUTH_COLUMNS):
-        raise ValueError(f"{path}: not a ground-truth sidecar")
-    rows = []
-    for line, cells in records[1:]:
-        if len(cells) != len(GROUND_TRUTH_COLUMNS):
-            raise ValueError(f"{path}: line {line}: malformed row {cells!r}")
-        rows.append(parse_feature_row(path, line, cells, FeatureMode.EXTENDED, ValueError))
+    It is a table with the rules of an extended features CSV, and every row
+    must be graded."""
+    _, rows = read_table(
+        Path(path), ValueError, "ground-truth sidecar", [GROUND_TRUTH_COLUMNS], parse_feature_row
+    )
     labels = graded(rows, f"{path}: ground truth")
     return [
         (image_id, np.array(fv.values, dtype=int).reshape(4, 3), label)

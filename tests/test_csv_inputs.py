@@ -18,13 +18,16 @@ MASKS = ("1.pgm", "2.pgm", "3.pgm", "4.pgm")
 
 
 def _outcome(read, path, expected):
-    """Compare ``read(path)`` with a list of records or an error type."""
-    if isinstance(expected, type):
-        with pytest.raises(ValueError) as exc:
-            read(path)
-        assert type(exc.value) is expected, exc.value
-    else:
+    """Compare ``read(path)`` with a list of records, an error type, or an
+    (error type, start of the message after ``<path>: ``) pair."""
+    if isinstance(expected, list):
         assert read(path) == expected
+        return
+    error, message = expected if isinstance(expected, tuple) else (expected, "")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert type(exc.value) is error, exc.value
+    assert str(exc.value).startswith(f"{path}: {message}"), exc.value
 
 
 MANIFEST_CASES = {
@@ -124,6 +127,10 @@ PREDICTIONS_CASES = {
     "grade-out-of-range": (PREDICTIONS_HEADER + b"\na,5,1\n", ValueError),
     "grade-missing": (PREDICTIONS_HEADER + b"\na,2,\n", ValueError),
     "extra-cell": (PREDICTIONS_HEADER + b"\na,2,1,0\n", ValueError),
+    "grade-not-integer": (PREDICTIONS_HEADER + b"\na,x,1\n",
+                          (ValueError, "line 2: invalid literal for int() with base 10: 'x'")),
+    "duplicate-id": (PREDICTIONS_HEADER + b"\na,2,1\nb,0,0\na,2,1\n",
+                     (ValueError, "line 4: duplicate image_id 'a'")),
 }
 
 
@@ -185,6 +192,8 @@ GROUND_TRUTH_CASES = {
     "bad-grade": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",2,1", b",9,1") + b"\n",
                   ValueError),
     "ungraded": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW.replace(b",2,1", b",,") + b"\n", ValueError),
+    "duplicate-id": (GROUND_TRUTH_HEADER + b"\n" + GROUND_TRUTH_ROW + b"\n" + GROUND_TRUTH_ROW + b"\n",
+                     (ValueError, "line 3: duplicate image_id 'a'")),
 }
 
 

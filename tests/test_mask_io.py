@@ -1,4 +1,6 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +350,21 @@ def test_extract_exits_0_or_2_on_mutated_masks(tmp_path, capsys, seed, edits):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(MaskFormatError):
         load_mask(tmp_path / "absent.pgm", LesionClass.MA)
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo", "dev-null"])
+def test_a_path_that_is_not_a_regular_file_is_named_so(tmp_path, capsys, kind):
+    # Each used to read "manifest file does not exist".  The FIFO is never
+    # opened: a read would wait for a writer.
+    path = {"directory": tmp_path / "dir", "fifo": tmp_path / "fifo", "dev-null": Path(os.devnull)}[kind]
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    with pytest.raises(MaskFormatError, match=f"^{re.escape(str(path))}: mask file is not a regular file$"):
+        load_mask(path, LesionClass.MA)
+    assert main(["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+    assert f"error: {path}: manifest file is not a regular file" in capsys.readouterr().err
 
 
 def test_comments_and_whitespace_in_header(tmp_path):

@@ -19,3 +19,14 @@ def test_all_lists_exactly_the_public_imports():
         if not name.startswith("_") and not inspect.ismodule(getattr(retsym, name))
     }
     assert sorted(retsym.__all__) == sorted(public)
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O strips assert statements, so a check made with one vanishes.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(retsym.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

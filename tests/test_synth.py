@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retsym
+from retsym import synth
 from retsym import (
     GradePair,
     LabelRule,
@@ -152,6 +153,17 @@ def test_spec_fields_follow_the_integer_rule(field, value):
         SynthSpec(**{"n_images": 2, "width": 64, "height": 64, field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rule", "size-aware"), ("rule", None), ("thresholds", (10, 500, 1000, 10000)),
+], ids=["rule-string", "rule-none", "thresholds-tuple"])
+def test_spec_rejects_a_rule_or_thresholds_of_another_type(field, value):
+    # A rule given as its string took a different branch in the sampler and in
+    # label_rule, and failed plan_dataset's consistency check; a thresholds
+    # tuple failed with an AttributeError.
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        SynthSpec(**{"n_images": 2, "width": 256, "height": 256, field: value})
+
+
 def test_spec_stores_numpy_integers_as_ints():
     spec = SynthSpec(n_images=np.int64(2), width=np.int32(64), height=64, seed=np.uint8(3),
                      small_size=(np.int64(11), 80), active_dme_grades=[0, np.int64(1)])
@@ -177,6 +189,13 @@ def test_plan_dataset_deterministic():
     a = plan_dataset(spec)
     b = plan_dataset(spec)
     assert a == b
+
+
+def test_inconsistent_sampled_counts_raise(monkeypatch):
+    # The check was an assert, which python -O strips.
+    monkeypatch.setattr(synth, "_sample_bucket_counts", lambda *args: np.zeros((4, 3), dtype=int))
+    with pytest.raises(RuntimeError, match="rule-inconsistent counts for img_"):
+        plan_dataset(SynthSpec(n_images=4, width=256, height=256, seed=1, active_dr_grades=(2,)))
 
 
 def test_plans_respect_rule_and_buckets():
@@ -402,6 +421,39 @@ def test_generate_cleans_up_after_failure(tmp_path):
         generate(spec, out)
     assert [p for p in out.rglob("*") if p.is_file()] == []
     assert not out.exists()  # the plan fails before any directory is made
+
+
+def _failing_save_mask(monkeypatch, fail_on_call):
+    calls = []
+    real = synth.save_mask
+
+    def save_mask(mask, path, **kwargs):
+        calls.append(path)
+        if len(calls) == fail_on_call:
+            raise OSError(f"write refused: {path}")
+        real(mask, path, **kwargs)
+
+    monkeypatch.setattr(synth, "save_mask", save_mask)
+
+
+def test_failed_generate_removes_the_directories_it_made(tmp_path, monkeypatch):
+    # masks/ and the --out directories above it used to stay behind, empty.
+    _failing_save_mask(monkeypatch, 3)
+    with pytest.raises(OSError, match="write refused"):
+        generate(SynthSpec(n_images=2, width=64, height=64, seed=1), tmp_path / "out" / "x")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_generate_keeps_what_was_there(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    _failing_save_mask(monkeypatch, 3)
+    with pytest.raises(OSError, match="write refused"):
+        generate(SynthSpec(n_images=2, width=64, height=64, seed=1), out)
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == [out / "notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 # The tree's bytes follow from the spec through the order of the random
