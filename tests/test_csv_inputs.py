@@ -45,7 +45,8 @@ MANIFEST_CASES = {
         [("a", MASKS, 4, 1)],
     ),
     "duplicate-header-short-row": (
-        MANIFEST_HEADER + b",dr_grade\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1\n", ManifestError
+        MANIFEST_HEADER + b",dr_grade\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1\n",
+        (ManifestError, "line 2: dr_grade and dme_grade must be present together"),
     ),
     "absolute-mask-path": (MANIFEST_HEADER + b"\na,/abs/1.pgm,2.pgm,3.pgm,4.pgm,0,0\n",
                            [("a", ("/abs/1.pgm",) + MASKS[1:], 0, 0)]),
@@ -59,8 +60,16 @@ MANIFEST_CASES = {
              [("a", MASKS, 2, 1), ("b", MASKS, None, None)]),
     "quoted-newline-in-id": (MANIFEST_HEADER + b'\n"a\nb",1.pgm,2.pgm,3.pgm,4.pgm,0,0\n',
                              [("a\nb", MASKS, 0, 0)]),
-    "one-grade-only": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,,1\n", ManifestError),
-    "grade-out-of-range": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,5,0\n", ManifestError),
+    "empty-id": (MANIFEST_HEADER + b"\n ,1.pgm,2.pgm,3.pgm,4.pgm,0,0\n",
+                 (ManifestError, "line 2: empty image_id")),
+    "duplicate-id": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,0,0\na,1.pgm,2.pgm,3.pgm,4.pgm,0,0\n",
+                     (ManifestError, "line 3: duplicate image_id 'a'")),
+    "empty-mask-cell": (MANIFEST_HEADER + b"\na,1.pgm,,3.pgm,4.pgm,0,0\n",
+                        (ManifestError, "line 2: empty he_mask for 'a'")),
+    "one-grade-only": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,,1\n",
+                       (ManifestError, "line 2: dr_grade and dme_grade must be present together")),
+    "grade-out-of-range": (MANIFEST_HEADER + b"\na,1.pgm,2.pgm,3.pgm,4.pgm,5,0\n",
+                           (ManifestError, "line 2: dr_grade 5 out of range 0..4")),
     "missing-column": (b"image_id,ma_mask,he_mask,se_mask,ex_mask,dr_grade\n", ManifestError),
 }
 
