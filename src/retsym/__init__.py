@@ -8,6 +8,8 @@ heads, and turned into template explanation sentences that parse back into
 the exact feature vector they came from.
 """
 
+from types import ModuleType as _ModuleType
+
 from .evaluation import (
     AblationResult,
     EvalReport,
@@ -81,64 +83,7 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationResult",
-    "DEFAULT_HIDDEN_DIMS",
-    "DEFAULT_THRESHOLDS",
-    "DME_GRADE_NAMES",
-    "DR_GRADE_NAMES",
-    "EvalReport",
-    "Explanation",
-    "ExplanationParseError",
-    "ExtractedImage",
-    "FeatureMode",
-    "FeatureVector",
-    "FeaturesCsvError",
-    "GradePair",
-    "GraderModel",
-    "ImagePlan",
-    "LESION_ORDER",
-    "LabelRule",
-    "LesionClass",
-    "LesionMask",
-    "MANIFEST_COLUMNS",
-    "ManifestError",
-    "ManifestRecord",
-    "MaskFormatError",
-    "ModelFormatError",
-    "PackingError",
-    "RegionSet",
-    "SIZE_WORDS",
-    "SizeThresholds",
-    "SynthSpec",
-    "TrainConfig",
-    "ablation",
-    "evaluate",
-    "extended_features",
-    "extract_dataset",
-    "extract_regions",
-    "features_for_mode",
-    "format_report",
-    "generate",
-    "joint_accuracy",
-    "label_rule",
-    "load_manifest",
-    "load_mask",
-    "load_model",
-    "parse",
-    "plan_dataset",
-    "predict_batch",
-    "rasterize",
-    "read_features_csv",
-    "read_ground_truth",
-    "render",
-    "render_extended",
-    "render_simple",
-    "save_mask",
-    "save_model",
-    "simple_features",
-    "train",
-    "write_features_csv",
-    "write_manifest",
-    "write_report_csv",
-]
+# pydoc lists a re-exported name only when __all__ names it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+del _ModuleType

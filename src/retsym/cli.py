@@ -55,13 +55,11 @@ from .symbolic import (
     read_features_csv,
     write_features_csv,
 )
-from .synth import LabelRule, PackingError, SynthSpec, generate
+from .synth import LabelRule, SynthSpec, generate
 
 PREDICTIONS_COLUMNS = ("image_id", "dr_pred", "dme_pred")
 
-# Each module's own input error (MaskFormatError, ManifestError, FeaturesCsvError,
-# ModelFormatError, ExplanationParseError) is a ValueError; PackingError is not.
-_INPUT_ERRORS = (ValueError, OSError, PackingError)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:

@@ -9,7 +9,9 @@ count differs from 1) so that parse(render(x)) == x always holds.
 
 Image ids are free-form but must not contain the templates' connective
 phrases (e.g. ' is classified as '); ids from this package's own synthetic
-datasets and manifests are always safe.
+datasets and manifests are always safe.  An id that holds a line break
+(anything ``str.splitlines`` breaks at) is refused, so that each sentence
+stays one line.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ def _sentence(image_id: str, grade_text: str, features: FeatureVector) -> str:
 
 def render(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
     """Render with the template matching the vector's mode."""
+    if "".join(image_id.splitlines()) != image_id:
+        raise ValueError(f"image_id {image_id!r} holds a line break; an explanation must stay on one line")
     grade_text = DR_GRADE_NAMES[grade.dr]
     return Explanation(
         image_id=image_id,

@@ -424,21 +424,20 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             continue
         cells += [""] * (len(header) - len(cells))
         image_id, *masks, dr_cell, dme_cell = (cells[i].strip() for i in columns)
-        if not image_id:
-            raise ManifestError(f"{path}: line {line}: empty image_id")
-        if image_id in seen:
-            raise ManifestError(f"{path}: line {line}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        mask_paths: dict[LesionClass, Path] = {}
-        for cls, cell in zip(LesionClass, masks):
-            if not cell:
-                raise ManifestError(f"{path}: line {line}: empty {cls.manifest_column} for {image_id!r}")
-            mask_paths[cls] = base / cell  # an absolute cell replaces base
         try:
-            dr, dme = parse_grades(dr_cell, dme_cell)
+            if not image_id:
+                raise ValueError("empty image_id")
+            if image_id in seen:
+                raise ValueError(f"duplicate image_id {image_id!r}")
+            seen.add(image_id)
+            mask_paths: dict[LesionClass, Path] = {}
+            for cls, cell in zip(LesionClass, masks):
+                if not cell:
+                    raise ValueError(f"empty {cls.manifest_column} for {image_id!r}")
+                mask_paths[cls] = base / cell  # an absolute cell replaces base
+            records.append(ManifestRecord(image_id, mask_paths, *parse_grades(dr_cell, dme_cell)))
         except ValueError as exc:
             raise ManifestError(f"{path}: line {line}: {exc}") from None
-        records.append(ManifestRecord(image_id, mask_paths, dr, dme))
     return records
 
 

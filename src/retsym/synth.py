@@ -58,7 +58,7 @@ GROUND_TRUTH_COLUMNS = (
 )
 
 
-class PackingError(RuntimeError):
+class PackingError(ValueError):
     """Raised when the requested regions cannot be placed on the canvas."""
 
 

@@ -86,6 +86,18 @@ def test_explain_stdout_and_file(pipeline, capsys, tmp_path):
     assert out_file.read_text().strip().splitlines() == lines
 
 
+def test_explain_refuses_an_id_with_a_line_break(pipeline, capsys, tmp_path):
+    # The features CSV may quote a line break into an id; its sentence may not hold one.
+    mode, rows = read_features_csv(pipeline / "features.csv")
+    features = tmp_path / "features.csv"
+    write_features_csv(features, mode, [("a\nb", *rows[0][1:]), *rows[1:]])
+    out = tmp_path / "explanations.txt"
+    assert main(["explain", "--model", str(pipeline / "model.json"), "--features", str(features),
+                 "--out", str(out)]) == 2
+    assert "image_id 'a\\nb' holds a line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_against_manifest(pipeline, capsys, tmp_path):
     report_csv = tmp_path / "report.csv"
     rc = main(["evaluate", "--truth", str(pipeline / "data" / "manifest.csv"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,9 +122,16 @@ def test_parse_render_identity_random():
 
 
 def test_parse_accepts_awkward_ids():
-    for image_id in ("image 1", "a-b_c.d", "07", "scan_55"):
+    for image_id in ("image 1", "a-b_c.d", "07", "scan_55", ""):
         exp = render(image_id, _extended([0] * 11 + [2]), GradePair(4, 2))
         assert parse(exp.rendered)[0] == image_id
+
+
+@pytest.mark.parametrize("image_id", ["a\nb", "a\rb", "a\x85b", "a\u2028b", "a\n"])
+def test_render_refuses_an_id_with_a_line_break(image_id):
+    # str.splitlines breaks the sentence there, and parse refuses a "\n".
+    with pytest.raises(ValueError, match=re.escape(f"image_id {image_id!r} holds a line break")):
+        render(image_id, _simple([1, 0, 0, 0]), GradePair(1, 0))
 
 
 @pytest.mark.parametrize(

@@ -343,6 +343,8 @@ def test_packing_failure_names_image_and_class():
     )
     with pytest.raises(PackingError, match=r"img_0000.*HE"):
         plan_dataset(spec)
+    with pytest.raises(ValueError):  # an input error, like every module's own
+        plan_dataset(spec)
 
 
 def test_simple_vector_does_not_determine_label():
