@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -115,6 +116,50 @@ def test_evaluate_against_features_csv(pipeline, capsys):
                "--pred", str(pipeline / "pred.csv")])
     assert rc == 0
     assert "DR confusion" in capsys.readouterr().out
+
+
+def _ungrade_first_row(source, dest):
+    """Copy a CSV whose last two columns are the grades, with the first row's emptied."""
+    lines = source.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:-2] + ["", ""])
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+def test_train_names_an_ungraded_row(pipeline, capsys, tmp_path):
+    features = _ungrade_first_row(pipeline / "features.csv", tmp_path / "features.csv")
+    assert main(["train", "--features", str(features), "--out", str(tmp_path / "model.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {features}: training needs grades for every image; missing for ['img_0000']\n"
+    )
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("source", ["features.csv", "data/manifest.csv"], ids=["features", "manifest"])
+def test_evaluate_names_an_ungraded_reference_row(pipeline, capsys, tmp_path, source):
+    # evaluate reads only a manifest's grades, so the copy need not resolve its mask paths.
+    truth = _ungrade_first_row(pipeline / source, tmp_path / "truth.csv")
+    assert main(["evaluate", "--truth", str(truth), "--pred", str(pipeline / "pred.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {truth}: evaluate needs grades for every image; missing for ['img_0000']\n"
+    )
+
+
+def test_a9_config_features_csv_bytes(tmp_path):
+    # A9 compares two runs with each other; these pins also catch a writer change that
+    # alters both.  The files hold integers only, so the bytes do not depend on the BLAS.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "100", "--canvas", "192x192", "--seed", "7"]) == 0
+    ungraded = _ungrade_first_row(data / "manifest.csv", data / "ungraded.csv")
+    for manifest, mode, digest in (
+        (data / "manifest.csv", "extended", "4f3fcb7da7fdb1d95ab1f0df2176fee96c74b501af3dfadd90a9dfbfa82252c4"),
+        (data / "manifest.csv", "simple", "5267fdffb3b7901fa332bf2bdbe4fe9ffaaa8b5cb7bfabf6a9bc73586e6ba84c"),
+        (ungraded, "extended", "b272304e182295776b7221451278e912ee286784d6d0ffa373b8b4ad18eca65b"),
+        (ungraded, "simple", "00c6efd98a1fc981fe4832c5e62ef58d04338aa0d0824f2fc81367f441d85f59"),
+    ):
+        out = tmp_path / f"{manifest.stem}-{mode}.csv"
+        assert main(["extract", "--manifest", str(manifest), "--mode", mode, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (manifest.name, mode)
 
 
 def test_train_config_file_and_flag_precedence(pipeline, tmp_path):

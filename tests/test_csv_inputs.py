@@ -102,9 +102,12 @@ FEATURES_CASES = {
     "header-only": (SIMPLE_HEADER + b"\n", []),
     "empty-file": (b"", FeaturesCsvError),
     "bom-header": (b"\xef\xbb\xbf" + SIMPLE_HEADER + b"\na,1,2,3,4,0,0\n", FeaturesCsvError),
-    "one-grade-only": (SIMPLE_HEADER + b"\na,1,2,3,4,2,\n", FeaturesCsvError),
-    "grade-not-integer": (SIMPLE_HEADER + b"\na,1,2,3,4,x,1\n", FeaturesCsvError),
-    "grade-out-of-range": (SIMPLE_HEADER + b"\na,1,2,3,4,0,3\n", FeaturesCsvError),
+    "one-grade-only": (SIMPLE_HEADER + b"\na,1,2,3,4,2,\n",
+                       (FeaturesCsvError, "line 2: dr_grade and dme_grade must be present together")),
+    "grade-not-integer": (SIMPLE_HEADER + b"\na,1,2,3,4,x,1\n",
+                          (FeaturesCsvError, "line 2: dr_grade 'x' is not an integer")),
+    "grade-out-of-range": (SIMPLE_HEADER + b"\na,1,2,3,4,0,3\n",
+                           (FeaturesCsvError, "line 2: dme_grade 3 out of range 0..2")),
     "extra-cell": (SIMPLE_HEADER + b"\na,1,2,3,4,0,0,0\n", FeaturesCsvError),
     "duplicate-id": (SIMPLE_HEADER + b"\na,1,2,3,4,0,0\na,1,2,3,4,0,0\n", FeaturesCsvError),
 }

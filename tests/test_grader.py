@@ -78,6 +78,18 @@ def test_grade_pair_validation():
     assert pair == GradePair(2, 1) and type(pair.dr) is int and type(pair.dme) is int
 
 
+@pytest.mark.parametrize("dr,dme,message", [
+    (5, 0, "dr_grade 5 out of range 0..4"),
+    (0, 3, "dme_grade 3 out of range 0..2"),
+    (True, 0, "DR and DME grades must be integers, got [True, 0]"),
+    ("1", 0, "DR and DME grades must be integers, got ['1', 0]"),
+])
+def test_grade_pair_messages(dr, dme, message):
+    with pytest.raises(ValueError) as exc:
+        GradePair(dr, dme)
+    assert str(exc.value) == message
+
+
 def test_train_config_validation():
     bad = [
         {"learning_rate": 0.0},
