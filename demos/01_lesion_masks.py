@@ -70,5 +70,5 @@ write_manifest(
     }],
 )
 record = load_manifest(workdir / "manifest.csv")[0]
-print(f"\nmanifest row: id={record.image_id!r} dr={record.dr_grade} dme={record.dme_grade}")
+print(f"\nmanifest row: id={record.image_id!r} dr={record.label.dr} dme={record.label.dme}")
 print(f"MA mask resolves to {record.mask_paths[LesionClass.MA]}")

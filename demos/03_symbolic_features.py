@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as td:
         extract_regions(load_mask(record.mask_paths[cls], cls)) for cls in LesionClass
     ]
 
-    print(f"\nimage {record.image_id} (labels: DR={record.dr_grade}, DME={record.dme_grade})")
+    print(f"\nimage {record.image_id} (labels: DR={record.label.dr}, DME={record.label.dme})")
     for rs in region_sets:
         print(f"  {rs.lesion_class.name}: {len(rs)} regions, sizes {sorted(rs.sizes())}")
 

@@ -192,7 +192,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     mode = FeatureMode(args.mode)
     records = load_manifest(args.manifest)
     vectors = features_for_mode(iter_extracted(records), mode, thresholds)
-    rows = [(r.image_id, fv, r.dr_grade, r.dme_grade) for r, fv in zip(records, vectors)]
+    rows = [(r.image_id, fv, r.label) for r, fv in zip(records, vectors)]
     out = Path(args.out)
     _atomic_write(out, lambda tmp: write_features_csv(tmp, mode, rows))
     print(f"extracted {mode.value} features for {len(rows)} images -> {out}")
@@ -202,7 +202,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     _, config, options = _training_settings(args)
     rows = read_features_csv(args.features)[1]
-    dataset = list(zip((fv for _, fv, _, _ in rows), graded(rows, f"{args.features}: training")))
+    dataset = list(zip((fv for _, fv, _ in rows), graded(rows, f"{args.features}: training")))
     model = train(dataset, config, **options)
     out = Path(args.out)
     _atomic_write(out, lambda tmp: save_model(model, tmp))
@@ -223,8 +223,8 @@ def _predictions_for(args: argparse.Namespace) -> list[tuple[str, GradePair, Fea
             f"{args.features} holds {mode.value} features but the model expects "
             f"{model.feature_mode.value}"
         )
-    pairs = predict_batch(model, [fv for _, fv, _, _ in rows])
-    return [(image_id, pair, fv) for (image_id, fv, _, _), pair in zip(rows, pairs)]
+    pairs = predict_batch(model, [fv for _, fv, _ in rows])
+    return [(image_id, pair, fv) for (image_id, fv, _), pair in zip(rows, pairs)]
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -252,7 +252,7 @@ def _reference_pairs(path: str | Path) -> dict[str, GradePair]:
     path = Path(path)
     records = read_csv(path, ValueError, "reference")
     if records and set(MANIFEST_COLUMNS).issubset(records[0][1]):
-        rows = [(r.image_id, r.dr_grade, r.dme_grade) for r in load_manifest(path)]
+        rows = [(r.image_id, r.label) for r in load_manifest(path)]
     else:
         rows = read_features_csv(path)[1]
     return dict(zip((row[0] for row in rows), graded(rows, f"{path}: evaluate")))

@@ -141,11 +141,10 @@ class ExtractedImage:
 def iter_extracted(records: Iterable[ManifestRecord]) -> Iterator[ExtractedImage]:
     """Load one image's four masks and extract their regions, image by image."""
     for record in records:
-        label = GradePair(dr=record.dr_grade, dme=record.dme_grade) if record.labeled else None
         yield ExtractedImage(
             record.image_id,
             tuple(extract_regions(load_mask(path, cls)) for cls, path in record.mask_paths.items()),
-            label,
+            record.label,
         )
 
 
@@ -200,7 +199,7 @@ def ablation(
     for mode in FeatureMode:
         _check_dims((mode.length, *hidden_dims), mode)
     records = load_manifest(manifest_path)
-    labels = graded([(r.image_id, r.dr_grade, r.dme_grade) for r in records], "ablation")
+    labels = graded([(r.image_id, r.label) for r in records], "ablation")
     n = len(records)
     if n < 5:
         raise ValueError(f"ablation needs at least 5 labeled images, got {n}")

@@ -109,16 +109,11 @@ class LesionMask:
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One manifest row: an image id, its four mask paths in LesionClass order, optional labels."""
+    """One manifest row: an image id, its four mask paths in LesionClass order, an optional label."""
 
     image_id: str
     mask_paths: dict[LesionClass, Path] = field(compare=False)
-    dr_grade: Optional[int] = None
-    dme_grade: Optional[int] = None
-
-    @property
-    def labeled(self) -> bool:
-        return self.dr_grade is not None
+    label: Optional[GradePair] = None
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +351,27 @@ def integers(values: Iterable, name: str, error: type[ValueError] = ValueError) 
 
 @dataclass(frozen=True, order=True)
 class GradePair:
-    """A (DR, DME) grade pair: an index into DR_GRADE_NAMES and one into DME_GRADE_NAMES."""
+    """A row's label: a DR grade, an index into DR_GRADE_NAMES, and a DME grade, one into
+    DME_GRADE_NAMES.  Every grade is checked here, and only here."""
 
     dr: int
     dme: int
 
     def __post_init__(self) -> None:
-        pair = check_grades(*integers((self.dr, self.dme), "DR and DME grades"))
-        for name, grade in zip(("dr", "dme"), pair):
-            object.__setattr__(self, name, grade)
+        dr, dme = integers((self.dr, self.dme), "DR and DME grades")
+        if dr not in DR_GRADE_RANGE:
+            raise ValueError(f"dr_grade {dr} out of range 0..{DR_GRADE_RANGE[-1]}")
+        if dme not in DME_GRADE_RANGE:
+            raise ValueError(f"dme_grade {dme} out of range 0..{DME_GRADE_RANGE[-1]}")
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "dme", dme)
 
 
-def check_grades(dr: int, dme: int) -> tuple[int, int]:
-    """``(dr, dme)`` if ``dr`` is a DR grade and ``dme`` a DME grade, else a ValueError."""
-    if dr not in DR_GRADE_RANGE:
-        raise ValueError(f"dr_grade {dr} out of range 0..{DR_GRADE_RANGE[-1]}")
-    if dme not in DME_GRADE_RANGE:
-        raise ValueError(f"dme_grade {dme} out of range 0..{DME_GRADE_RANGE[-1]}")
-    return dr, dme
-
-
-def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[int]]:
-    """A (DR, DME) pair from two cells: both empty, or both integers in range."""
+def parse_grades(dr_cell: str, dme_cell: str) -> Optional[GradePair]:
+    """A label from two cells: None if both are empty, else a GradePair of two integers in range."""
     cells = (dr_cell.strip(), dme_cell.strip())
     if not any(cells):
-        return None, None
+        return None
     if not all(cells):
         raise ValueError("dr_grade and dme_grade must be present together or absent together")
     grades = []
@@ -389,15 +380,15 @@ def parse_grades(dr_cell: str, dme_cell: str) -> tuple[Optional[int], Optional[i
             grades.append(int(text))
         except ValueError:
             raise ValueError(f"{column} {text!r} is not an integer") from None
-    return check_grades(*grades)
+    return GradePair(*grades)
 
 
 def graded(rows: Sequence[tuple], what: str) -> list[GradePair]:
-    """The grade pair of each row (image id, ..., DR, DME); ungraded rows raise ValueError."""
-    missing = [row[0] for row in rows if row[-2] is None]
+    """The label of each row (image id, ..., label); an ungraded row raises ValueError."""
+    missing = [row[0] for row in rows if row[-1] is None]
     if missing:
         raise ValueError(f"{what} needs grades for every image; missing for {missing[:5]}")
-    return [GradePair(row[-2], row[-1]) for row in rows]
+    return [row[-1] for row in rows]
 
 
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
@@ -435,7 +426,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
                 if not cell:
                     raise ValueError(f"empty {cls.manifest_column} for {image_id!r}")
                 mask_paths[cls] = base / cell  # an absolute cell replaces base
-            records.append(ManifestRecord(image_id, mask_paths, *parse_grades(dr_cell, dme_cell)))
+            records.append(ManifestRecord(image_id, mask_paths, parse_grades(dr_cell, dme_cell)))
         except ValueError as exc:
             raise ManifestError(f"{path}: line {line}: {exc}") from None
     return records

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import LesionClass, integers, parse_grades, read_table, write_csv
+from .mask_io import GradePair, LesionClass, integers, parse_grades, read_table, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -137,7 +137,7 @@ class FeaturesCsvError(ValueError):
     """Raised for malformed features CSV files."""
 
 
-FeatureRow = tuple[str, FeatureVector, Optional[int], Optional[int]]
+FeatureRow = tuple[str, FeatureVector, Optional[GradePair]]  # image id, counts, label
 
 
 def features_header(mode: FeatureMode) -> list[str]:
@@ -150,13 +150,16 @@ _MODE_OF_WIDTH = {len(features_header(mode)): mode for mode in FeatureMode}
 
 
 def write_features_csv(path: str | Path, mode: FeatureMode, rows: Sequence[FeatureRow]) -> None:
-    for image_id, vector, _, _ in rows:
+    for image_id, vector, label in rows:
         if vector.mode is not mode:
             raise FeaturesCsvError(
                 f"row {image_id!r} has {vector.mode.value} features in a {mode.value} file"
             )
-    # csv writes None, an absent grade, as an empty cell.
-    write_csv(path, features_header(mode), ([i, *vector.values, dr, dme] for i, vector, dr, dme in rows))
+        if label is not None and not isinstance(label, GradePair):
+            raise FeaturesCsvError(f"row {image_id!r} has label {label!r}, neither None nor a GradePair")
+    write_csv(path, features_header(mode), (
+        [i, *vector.values, *((label.dr, label.dme) if label else ("", ""))] for i, vector, label in rows
+    ))
 
 
 def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
@@ -168,7 +171,7 @@ def read_features_csv(path: str | Path) -> tuple[FeatureMode, list[FeatureRow]]:
 
 def parse_feature_row(cells: list[str]) -> FeatureRow:
     """A features-CSV or ``ground_truth.csv`` row of 7 or 15 cells: the image id,
-    the counts of the mode that width gives, then the grade cells.  A bad count
+    the counts of the mode that width gives, then the label's cells.  A bad count
     or grade raises ValueError."""
     vector = FeatureVector(mode=_MODE_OF_WIDTH[len(cells)], values=tuple(int(c) for c in cells[1:-2]))
-    return (cells[0], vector, *parse_grades(cells[-2], cells[-1]))
+    return cells[0], vector, parse_grades(cells[-2], cells[-1])

@@ -462,5 +462,5 @@ def read_ground_truth(path: str | Path) -> list[tuple[str, np.ndarray, GradePair
     labels = graded(rows, f"{path}: ground truth")
     return [
         (image_id, np.array(fv.values, dtype=int).reshape(4, 3), label)
-        for (image_id, fv, _, _), label in zip(rows, labels)
+        for (image_id, fv, _), label in zip(rows, labels)
     ]

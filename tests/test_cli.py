@@ -62,7 +62,7 @@ def test_pipeline_artifacts(pipeline):
 
     mode, rows = read_features_csv(pipeline / "features.csv")
     assert mode.value == "extended" and len(rows) == 40
-    assert all(dr is not None for _, _, dr, _ in rows)
+    assert all(label is not None for _, _, label in rows)
 
     model = load_model(pipeline / "model.json")
     assert model.trunk_dims == (12, 16, 8)

@@ -17,6 +17,11 @@ PREDICTIONS_HEADER = b"image_id,dr_pred,dme_pred"
 MASKS = ("1.pgm", "2.pgm", "3.pgm", "4.pgm")
 
 
+def _grades(label):
+    """A row's label flattened to its (DR, DME) grades, (None, None) when absent."""
+    return (None, None) if label is None else (label.dr, label.dme)
+
+
 def _outcome(read, path, expected):
     """Compare ``read(path)`` with a list of records, an error type, or an
     (error type, start of the message after ``<path>: ``) pair."""
@@ -84,7 +89,7 @@ def test_manifest_edge_cases(tmp_path, name):
         expected = [(i, tuple(tmp_path / m for m in masks), dr, dme) for i, masks, dr, dme in expected]
 
     def read(path):
-        return [(r.image_id, tuple(r.mask_paths[c] for c in LesionClass), r.dr_grade, r.dme_grade)
+        return [(r.image_id, tuple(r.mask_paths[c] for c in LesionClass), *_grades(r.label))
                 for r in load_manifest(path)]
 
     _outcome(read, path, expected)
@@ -122,7 +127,7 @@ def test_features_edge_cases(tmp_path, name):
     def read(path):
         mode, rows = read_features_csv(path)
         assert mode.value == "simple"
-        return [(image_id, fv.values, dr, dme) for image_id, fv, dr, dme in rows]
+        return [(image_id, fv.values, *_grades(label)) for image_id, fv, label in rows]
 
     _outcome(read, path, expected)
 

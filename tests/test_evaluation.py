@@ -239,10 +239,8 @@ def test_streamed_extract_writes_the_list_api_bytes(tmp_path, small_synth_dir, m
     images = extract_dataset(partly_graded)
     assert images[0].label is None and images[1].label is not None
     listed = tmp_path / "listed.csv"
-    rows = [
-        (img.image_id, fv, img.label.dr if img.label else None, img.label.dme if img.label else None)
-        for img, fv in zip(images, features_for_mode(images, FeatureMode(mode)))
-    ]
+    vectors = features_for_mode(images, FeatureMode(mode))
+    rows = [(img.image_id, fv, img.label) for img, fv in zip(images, vectors)]
     write_features_csv(listed, FeatureMode(mode), rows)
     assert streamed.read_bytes() == listed.read_bytes()
 

@@ -428,7 +428,7 @@ def test_manifest_round_trip(tmp_path):
     records = load_manifest(path)
     assert [r.image_id for r in records] == [f"img{i}" for i in range(6)]
     for i, record in enumerate(records):
-        assert record.dr_grade == i % 5 and record.dme_grade == i % 3
+        assert record.label.dr == i % 5 and record.label.dme == i % 3
         # relative paths resolve against the manifest's directory
         assert record.mask_paths[LesionClass.MA] == tmp_path / f"masks/img{i}_MA.pgm"
 
@@ -445,8 +445,7 @@ def test_unlabeled_rows_allowed(tmp_path):
     path = tmp_path / "m.csv"
     _write_rows(path, ["a,1.pgm,2.pgm,3.pgm,4.pgm,,"])
     record = load_manifest(path)[0]
-    assert not record.labeled
-    assert record.dr_grade is None and record.dme_grade is None
+    assert record.label is None
 
 
 @pytest.mark.parametrize(
@@ -488,14 +487,14 @@ def test_crlf_manifest_accepted(tmp_path):
     header = "image_id,ma_mask,he_mask,se_mask,ex_mask,dr_grade,dme_grade"
     path.write_bytes((header + "\r\na,1.pgm,2.pgm,3.pgm,4.pgm,2,1\r\n").encode())
     records = load_manifest(path)
-    assert len(records) == 1 and records[0].dr_grade == 2
+    assert len(records) == 1 and records[0].label.dr == 2
 
 
 def test_synth_manifest_loads(small_synth_dir):
     _, manifest = small_synth_dir
     records = load_manifest(manifest)
     assert len(records) == 30
-    assert all(r.labeled for r in records)
+    assert all(r.label is not None for r in records)
     for record in records[:3]:
         for cls in LesionClass:
             assert record.mask_paths[cls].is_file()

@@ -6,6 +6,7 @@ from retsym import (
     FeatureMode,
     FeatureVector,
     FeaturesCsvError,
+    GradePair,
     LesionClass,
     RegionSet,
     SizeThresholds,
@@ -154,9 +155,8 @@ def _rows(mode, n, labeled=True):
     rows = []
     for i in range(n):
         values = tuple(int(v) for v in rng.integers(0, 50, size=mode.length))
-        dr = int(rng.integers(0, 5)) if labeled else None
-        dme = int(rng.integers(0, 3)) if labeled else None
-        rows.append((f"img{i:03d}", FeatureVector(mode, values), dr, dme))
+        label = GradePair(int(rng.integers(0, 5)), int(rng.integers(0, 3))) if labeled else None
+        rows.append((f"img{i:03d}", FeatureVector(mode, values), label))
     return rows
 
 
@@ -182,6 +182,29 @@ def test_write_rejects_mode_mismatch(tmp_path):
     rows = _rows(FeatureMode.SIMPLE, 1)
     with pytest.raises(FeaturesCsvError):
         write_features_csv(tmp_path / "x.csv", FeatureMode.EXTENDED, rows)
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_written_labels_read_back(tmp_path, mode):
+    # The writer used to write a grade pair with one grade, a grade out of range or a
+    # bool, which the reader then refused.  Every label it accepts now reads back.
+    fv = FeatureVector(mode, (1,) * mode.length)
+    labels = [None] + [GradePair(dr, dme) for dr in range(5) for dme in range(3)]
+    rows = [(f"img{i}", fv, label) for i, label in enumerate(labels)]
+    path = tmp_path / "features.csv"
+    write_features_csv(path, mode, rows)
+    assert read_features_csv(path) == (mode, rows)
+
+
+@pytest.mark.parametrize("label", [(1, None), (7, 0), (True, 0), (2, 1), 1, "2,1", [2, 1]],
+                         ids=["one-grade", "out-of-range", "bool", "tuple", "int", "text", "list"])
+def test_write_refuses_a_label_that_is_not_a_grade_pair(tmp_path, label):
+    fv = FeatureVector(FeatureMode.SIMPLE, (1, 2, 3, 4))
+    path = tmp_path / "features.csv"
+    with pytest.raises(FeaturesCsvError) as exc:
+        write_features_csv(path, FeatureMode.SIMPLE, [("a", fv, None), ("b", fv, label)])
+    assert str(exc.value).startswith(f"row 'b' has label {label!r}"), exc.value
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

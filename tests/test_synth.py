@@ -395,7 +395,7 @@ def test_planted_equals_extracted(small_synth_dir):
         ]
         _, counts, label = truth[record.image_id]
         assert extended_features(region_sets).values == tuple(counts.ravel())
-        assert (record.dr_grade, record.dme_grade) == (label.dr, label.dme)
+        assert (record.label.dr, record.label.dme) == (label.dr, label.dme)
         # simple counts additionally see the sub-threshold specks
         simple = simple_features(region_sets).values
         assert all(s >= c for s, c in zip(simple, counts.sum(axis=1)))
