@@ -285,6 +285,50 @@ def test_model_thresholds_must_be_four(pipeline, tmp_path, capsys, thresholds):
     assert "must be a list of 4 integers" in capsys.readouterr().err
 
 
+def _set(values, index, value):
+    values[index] = value
+
+
+# The pipeline model reads 12 extended features through trunk_dims (12, 16, 8).
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc["preprocess"]["shift"].pop(), "preprocess shift length (11,), expected (12,)"),
+        (lambda doc: _set(doc["preprocess"]["scale"], 3, 0), "preprocess scale entries must be strictly positive"),
+        (lambda doc: _set(doc["preprocess"]["scale"], 0, -1.5), "preprocess scale entries must be strictly positive"),
+        (lambda doc: _set(doc, "feature_mode", "simple"), "trunk_dims[0] == 12 but simple features have length 4"),
+        (lambda doc: doc["trunk"].pop(), "expected 2 trunk layers, got 1"),
+        (lambda doc: doc["trunk"].append(doc["trunk"][-1]), "expected 2 trunk layers, got 3"),
+    ],
+    ids=["shift-short", "scale-zero", "scale-negative", "mode-mismatch", "layer-dropped", "layer-repeated"],
+)
+def test_inconsistent_model_exits_2_naming_the_model(pipeline, tmp_path, capsys, edit, message):
+    doc = json.loads((pipeline / "model.json").read_text())
+    edit(doc)
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(bad_model),
+                 "--features", str(pipeline / "features.csv"),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {bad_model}: {message}\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_hidden_dims_flag_needs_integers(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(_training_args(command, pipeline, out)[:-2] + ["--hidden-dims", "8,x"]) == 2
+    assert capsys.readouterr().err == "error: --hidden-dims needs integers, got '8,x'\n"
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_header_only_predictions_csv(pipeline, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("image_id,dr_pred,dme_pred\n")
+    assert main(["evaluate", "--truth", str(pipeline / "data" / "manifest.csv"), "--pred", str(pred)]) == 2
+    assert capsys.readouterr() == ("", f"error: {pred}: no predictions to score\n")
+
+
 @pytest.mark.parametrize("args,message", [
     (["--seed", "-1"], "error: seed must be >= 0"),
     (["--canvas", "8x8"], "cannot pack"),

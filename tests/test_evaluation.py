@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -42,10 +43,11 @@ def test_joint_accuracy_counts_exact_pairs():
 
 
 def test_joint_accuracy_validation():
-    with pytest.raises(ValueError):
-        joint_accuracy([], [])
-    with pytest.raises(ValueError):
-        joint_accuracy([GradePair(0, 0)], [GradePair(0, 0), GradePair(0, 0)])
+    for score in (joint_accuracy, evaluate):
+        with pytest.raises(ValueError, match="^cannot score an empty set of predictions$"):
+            score([], [])
+        with pytest.raises(ValueError, match="^got 1 reference pairs but 2 predictions$"):
+            score([GradePair(0, 0)], [GradePair(0, 0), GradePair(0, 0)])
 
 
 def test_self_evaluation_is_perfect():
@@ -85,6 +87,60 @@ def test_report_equality_ignores_array_identity():
     ref, pred = _pairs(rng, 10), _pairs(rng, 10)
     assert evaluate(ref, pred) == evaluate(ref, pred)
     assert evaluate(ref, pred) != evaluate(pred, ref) or ref == pred
+
+
+# Six pairs: 0 and 2 hit both grades, 1 misses DME, 3 and 5 miss DR, 4 hits both.
+SIX_REFERENCE = [GradePair(0, 0), GradePair(1, 1), GradePair(2, 2), GradePair(3, 0), GradePair(4, 1), GradePair(2, 0)]
+SIX_PREDICTED = [GradePair(0, 0), GradePair(1, 2), GradePair(2, 2), GradePair(4, 0), GradePair(4, 1), GradePair(1, 0)]
+
+
+def test_every_report_field_takes_part_in_equality():
+    report = evaluate(SIX_REFERENCE, SIX_PREDICTED)
+    assert report == dataclasses.replace(report)
+    changes = {
+        "n_samples": 7,
+        "joint_accuracy": 0.25,
+        "dr_accuracy": 0.25,
+        "dme_accuracy": 0.25,
+        "dr_confusion": report.dr_confusion + np.eye(5, dtype=int),
+        "dme_confusion": report.dme_confusion + np.eye(3, dtype=int),
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(EvalReport)}
+    for name, value in changes.items():
+        assert report != dataclasses.replace(report, **{name: value}), name
+
+
+def test_format_report_text():
+    report = evaluate(SIX_REFERENCE, SIX_PREDICTED)
+    assert format_report(report, title="held-out") == (
+        "held-out\n"
+        "samples:        6\n"
+        "joint accuracy: 0.5000\n"
+        "DR accuracy:    0.6667\n"
+        "DME accuracy:   0.8333\n"
+        "DR confusion (row = reference grade, column = predicted):\n"
+        "      1     0     0     0     0\n"
+        "      0     1     0     0     0\n"
+        "      0     1     1     0     0\n"
+        "      0     0     0     0     1\n"
+        "      0     0     0     0     1\n"
+        "DME confusion (row = reference grade, column = predicted):\n"
+        "      3     0     0\n"
+        "      0     1     1\n"
+        "      0     0     1"
+    )
+    assert format_report(report) == format_report(report, title="held-out").removeprefix("held-out\n")
+
+
+def test_write_report_csv_bytes(tmp_path):
+    path = tmp_path / "report.csv"
+    reversed_four = evaluate(SIX_PREDICTED[:4], SIX_REFERENCE[:4])
+    write_report_csv(path, [("simple", evaluate(SIX_REFERENCE, SIX_PREDICTED)), ("extended", reversed_four)])
+    assert path.read_bytes() == (
+        b"arm,n,joint_accuracy,dr_accuracy,dme_accuracy\n"
+        b"simple,6,0.5,0.6666666666666666,0.8333333333333334\n"
+        b"extended,4,0.5,0.75,0.75\n"
+    )
 
 
 def test_format_report_mentions_everything():

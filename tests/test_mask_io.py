@@ -120,6 +120,20 @@ def test_foreground_count_equals_bright_samples(tmp_path):
     assert mask.foreground_count == int((values > 127).sum())
 
 
+@pytest.mark.parametrize(
+    "pixels,message",
+    [
+        (np.zeros(4, dtype=bool), "mask pixels must be 2-D, got shape (4,)"),
+        (np.zeros((0, 3), dtype=bool), "mask dimensions must be >= 1, got (0, 3)"),
+    ],
+    ids=["1-D", "zero-height"],
+)
+def test_lesion_mask_shape_is_checked(pixels, message):
+    with pytest.raises(ValueError) as exc:
+        LesionMask(pixels, LesionClass.MA)
+    assert str(exc.value) == message
+
+
 def test_p5_magic_and_dimensions_preserved(tmp_path):
     mask = mask_from_ascii(
         """
