@@ -277,16 +277,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablation(args: argparse.Namespace) -> int:
     doc, config, options = _training_settings(args)
     result = ablation(args.manifest, config, test_fraction=_setting(args, doc, "test_fraction", 0.2), **options)
-    print(format_report(result.simple, title=f"[simple] train={result.n_train} test={result.n_test}"))
-    print()
-    print(format_report(result.extended, title=f"[extended] train={result.n_train} test={result.n_test}"))
-    print()
+    arms = [("simple", result.simple), ("extended", result.extended)]
+    for arm, report in arms:
+        print(format_report(report, title=f"[{arm}] train={result.n_train} test={result.n_test}"))
+        print()
     print(f"joint-accuracy gap (extended - simple): {result.gap:+.4f}")
     if args.out:
-        _atomic_write(
-            Path(args.out),
-            lambda tmp: write_report_csv(tmp, [("simple", result.simple), ("extended", result.extended)]),
-        )
+        _atomic_write(Path(args.out), lambda tmp: write_report_csv(tmp, arms))
     return 0
 
 

@@ -7,7 +7,7 @@ and confusion matrices are kept alongside for diagnosis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -50,72 +50,53 @@ class EvalReport:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvalReport):
             return NotImplemented
-        return (
-            self.n_samples == other.n_samples
-            and self.joint_accuracy == other.joint_accuracy
-            and self.dr_accuracy == other.dr_accuracy
-            and self.dme_accuracy == other.dme_accuracy
-            and np.array_equal(self.dr_confusion, other.dr_confusion)
-            and np.array_equal(self.dme_confusion, other.dme_confusion)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def joint_accuracy(reference: Sequence[GradePair], predicted: Sequence[GradePair]) -> float:
     """Fraction of samples where both grades match.  Empty input is an error."""
+    return evaluate(reference, predicted).joint_accuracy
+
+
+def evaluate(reference: Sequence[GradePair], predicted: Sequence[GradePair]) -> EvalReport:
+    """Score predictions against reference grades in one pass.  Empty input is an error."""
     if len(reference) != len(predicted):
         raise ValueError(
             f"got {len(reference)} reference pairs but {len(predicted)} predictions"
         )
     if not reference:
         raise ValueError("cannot score an empty set of predictions")
-    hits = sum(1 for ref, pred in zip(reference, predicted) if ref == pred)
-    return hits / len(reference)
-
-
-def evaluate(reference: Sequence[GradePair], predicted: Sequence[GradePair]) -> EvalReport:
-    """Score predictions against reference grades."""
-    joint = joint_accuracy(reference, predicted)
     n = len(reference)
     dr_conf = np.zeros((len(DR_GRADE_NAMES),) * 2, dtype=int)
     dme_conf = np.zeros((len(DME_GRADE_NAMES),) * 2, dtype=int)
-    dr_hits = dme_hits = 0
+    hits = 0
     for ref, pred in zip(reference, predicted):
         dr_conf[ref.dr, pred.dr] += 1
         dme_conf[ref.dme, pred.dme] += 1
-        dr_hits += ref.dr == pred.dr
-        dme_hits += ref.dme == pred.dme
-    return EvalReport(
-        n_samples=n,
-        joint_accuracy=joint,
-        dr_accuracy=dr_hits / n,
-        dme_accuracy=dme_hits / n,
-        dr_confusion=dr_conf,
-        dme_confusion=dme_conf,
-    )
+        hits += ref == pred
+    # Python ints, so each accuracy is the exact float of hits / n.
+    return EvalReport(n, hits / n, int(dr_conf.trace()) / n, int(dme_conf.trace()) / n, dr_conf, dme_conf)
 
 
 def format_report(report: EvalReport, title: Optional[str] = None) -> str:
-    lines = []
-    if title:
-        lines.append(title)
+    lines = [title] if title else []
     lines += [
         f"samples:        {report.n_samples}",
         f"joint accuracy: {report.joint_accuracy:.4f}",
         f"DR accuracy:    {report.dr_accuracy:.4f}",
         f"DME accuracy:   {report.dme_accuracy:.4f}",
-        "DR confusion (row = reference grade, column = predicted):",
     ]
-    lines += ["  " + " ".join(f"{v:5d}" for v in row) for row in report.dr_confusion]
-    lines.append("DME confusion (row = reference grade, column = predicted):")
-    lines += ["  " + " ".join(f"{v:5d}" for v in row) for row in report.dme_confusion]
+    for head, confusion in (("DR", report.dr_confusion), ("DME", report.dme_confusion)):
+        lines.append(f"{head} confusion (row = reference grade, column = predicted):")
+        lines += ["  " + " ".join(f"{v:5d}" for v in row) for row in confusion]
     return "\n".join(lines)
 
 
 def write_report_csv(path: str | Path, reports: Sequence[tuple[str, EvalReport]]) -> None:
-    """Write one CSV row per named report (confusion matrices are not included)."""
-    for arm, _ in reports:
-        if "," in arm or "\n" in arm:
-            raise ValueError(f"report name {arm!r} must not contain commas or newlines")
+    """Write one CSV row per named report (confusion matrices are not included).
+
+    A name holding a comma, a quote or a line break is quoted, as ids are.
+    """
     write_csv(path, REPORT_COLUMNS, (
         (arm, r.n_samples, r.joint_accuracy, r.dr_accuracy, r.dme_accuracy) for arm, r in reports
     ))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import tracemalloc
 
@@ -167,8 +168,10 @@ def test_write_report_csv(tmp_path):
     assert cells[0] == "simple" and cells[1] == "30"
     # float repr round-trips exactly
     assert float(cells[2]) == report.joint_accuracy
-    with pytest.raises(ValueError, match="comma"):
-        write_report_csv(path, [("a,b", report)])
+    # An arm name is quoted as ids are, so a comma or line break reads back intact.
+    write_report_csv(path, [("a,b", report), ("x\ny", report)])
+    with path.open(newline="", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["arm", "a,b", "x\ny"]
 
 
 def test_extract_dataset_and_features(small_synth_dir):
