@@ -74,7 +74,7 @@ def evaluate(reference: Sequence[GradePair], predicted: Sequence[GradePair]) -> 
         dr_conf[ref.dr, pred.dr] += 1
         dme_conf[ref.dme, pred.dme] += 1
         hits += ref == pred
-    # Python ints, so each accuracy is the exact float of hits / n.
+    # int() keeps each accuracy a Python float, as hits / n is.
     return EvalReport(n, hits / n, int(dr_conf.trace()) / n, int(dme_conf.trace()) / n, dr_conf, dme_conf)
 
 

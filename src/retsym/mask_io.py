@@ -142,7 +142,10 @@ def _read_pgm(path: Path) -> np.ndarray:
             raise _pgm_error(path, f"not a P2/P5 PGM file, magic {token!r}", match.start(1))
         if header and not token.isdigit():
             raise _pgm_error(path, f"expected unsigned integer for {what}, got {token!r}", match.start(1))
-        header.append(int(token) if header else token)
+        try:
+            header.append(int(token) if header else token)
+        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+            raise _pgm_error(path, f"{what} has {len(token)} digits, too many to read", match.start(1)) from None
         if what == "height" and 0 in header[1:]:  # checked before maxval is read
             raise _pgm_error(path, f"zero dimension: width={header[1]} height={header[2]}", pos)
     magic, width, height, maxval = header
@@ -349,7 +352,7 @@ def integers(values: Iterable, name: str, error: type[ValueError] = ValueError) 
     return ints
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GradePair:
     """A row's label: a DR grade, an index into DR_GRADE_NAMES, and a DME grade, one into
     DME_GRADE_NAMES.  Every grade is checked here, and only here."""

@@ -64,7 +64,7 @@ class SizeThresholds:
 DEFAULT_THRESHOLDS = SizeThresholds()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Region counts in a fixed order: MA, HE, SE, EX (x small/medium/large
     when extended)."""

@@ -90,6 +90,17 @@ def test_grade_pair_messages(dr, dme, message):
     assert str(exc.value) == message
 
 
+def test_labels_and_feature_vectors_hold_no_instance_dict():
+    # One of each per row: slots keep a 2,000-row label list near a third of its dict-backed size.
+    label, vector = GradePair(3, 1), FeatureVector(FeatureMode.SIMPLE, (1, 2, 3, 4))
+    for value, field in ((label, "dr"), (vector, "values")):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 0)
+    assert label == GradePair(3, 1) and label < GradePair(4, 0)
+    assert vector.values == (1, 2, 3, 4)
+
+
 def test_train_config_validation():
     bad = [
         {"learning_rate": 0.0},

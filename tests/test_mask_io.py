@@ -166,6 +166,19 @@ OVERSIZED_P2 = b"P2 1000000 1000000 255\n"
         (b"P2 1 1 9 \n", "end of file"),
         # Too many digits for int(), which the reference calls first.
         pytest.param(b"P2 1 1 7\n" + b"9" * 5000, "exceeds maxval", id="P2 5000 nines-exceeds maxval"),
+        # Header numbers with too many digits for int(); leading zeros count.
+        *(
+            pytest.param(
+                magic + header, f"{what} has {digits} digits, too many to read (byte offset {offset})",
+                id=f"{magic.decode()} {what} of {digits} digits",
+            )
+            for magic in (b"P5", b"P2")
+            for what, header, digits, offset in (
+                ("width", b"\n" + b"9" * 5000 + b" 1\n255\n", 5000, 3),
+                ("height", b"\n1 " + b"0" * 4300 + b"7\n255\n", 4301, 5),
+                ("maxval", b"\n1 1\n" + b"9" * 5000 + b"\n", 5000, 7),
+            )
+        ),
     ],
 )
 def test_malformed_pgm_raises_with_offset(tmp_path, content, fragment):
