@@ -42,6 +42,7 @@ from .mask_io import (
     graded,
     integers,
     load_manifest,
+    parse_int,
     read_csv,
     read_json,
     read_table,
@@ -77,8 +78,8 @@ def write_predictions_csv(path: str | Path, rows: Sequence[tuple[str, GradePair]
 
 
 def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
-    return read_table(Path(path), ValueError, "predictions", [PREDICTIONS_COLUMNS],
-                      lambda cells: (cells[0], GradePair(dr=int(cells[1]), dme=int(cells[2]))))[1]
+    return read_table(Path(path), ValueError, "predictions", [PREDICTIONS_COLUMNS], lambda cells: (
+        cells[0], GradePair(parse_int(cells[1], "dr_pred"), parse_int(cells[2], "dme_pred"))))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +88,6 @@ def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
 
 def _load_config_file(path: Optional[str]) -> dict:
     return {} if path is None else read_json(Path(path), ValueError, "config")
-
-
-def _int_list(flag: str, text: str, count: Optional[int] = None) -> tuple[int, ...]:
-    """A comma-separated flag value as integers; ``count`` of them, if given."""
-    parts = text.split(",")
-    if count is not None and len(parts) != count:
-        raise ValueError(f"{flag} needs {count} comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"{flag} needs integers, got {text!r}") from None
 
 
 def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Optional[int] = None):
@@ -113,7 +103,10 @@ def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Opt
     if not isinstance(default, tuple):
         return flag if flag is not None else as_number(source, given, type(default))
     if flag is not None:
-        value = _int_list(source, flag, count)
+        parts = flag.split(",")
+        if len(parts) != (count or len(parts)):
+            raise ValueError(f"{source} needs {count} comma-separated integers, got {flag!r}")
+        value = tuple(parse_int(part, source) for part in parts)
     elif isinstance(given, list) and len(given) == (count or len(given)):
         value = integers(given, source)
     else:
@@ -168,19 +161,13 @@ def _add_thresholds_option(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        width_s, _, height_s = args.canvas.lower().partition("x")
-        width, height = int(width_s), int(height_s)
+    try:  # a third side fails the unpacking, also with a ValueError
+        width, height = (parse_int(side, "--canvas") for side in args.canvas.lower().split("x"))
     except ValueError:
         raise ValueError(f"--canvas must look like 1024x1024, got {args.canvas!r}") from None
-    spec = SynthSpec(
-        n_images=args.n,
-        width=width,
-        height=height,
-        seed=args.seed,
-        rule=LabelRule(args.rule),
-        thresholds=SizeThresholds(*_setting(args, {}, "thresholds", DEFAULT_THRESHOLDS.as_tuple(), 4)),
-    )
+    thresholds = SizeThresholds(*_setting(args, {}, "thresholds", DEFAULT_THRESHOLDS.as_tuple(), 4))
+    spec = SynthSpec(n_images=args.n, width=width, height=height, seed=args.seed, rule=LabelRule(args.rule),
+                     thresholds=thresholds)
     manifest = generate(spec, args.out)
     print(f"wrote {args.n} images under {args.out}; manifest: {manifest}")
     return 0

@@ -7,9 +7,9 @@ text parser once comments are blanked out; a file it cannot read is scanned
 token by token, and the error's offset names the offending token.  A pixel is
 lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
 binding four per-class mask files and an optional :class:`GradePair` to each
-image id.  Each input rule lives here once (grades, file, text, JSON and CSV
-reads, fixed-header CSV tables, integers); :func:`write_csv` writes every CSV
-output.
+image id.  Each input rule lives here once (grades; file, text, JSON and CSV
+reads; fixed-header CSV tables; integers, from text by :func:`parse_int` and
+otherwise by :func:`is_number`); :func:`write_csv` writes every CSV output.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ def _read_pgm(path: Path) -> np.ndarray:
         if header and not token.isdigit():
             raise _pgm_error(path, f"expected unsigned integer for {what}, got {token!r}", match.start(1))
         try:
-            header.append(int(token) if header else token)
-        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
-            raise _pgm_error(path, f"{what} has {len(token)} digits, too many to read", match.start(1)) from None
+            header.append(parse_int(token.decode(), what) if header else token)
+        except ValueError as exc:  # too many digits
+            raise _pgm_error(path, str(exc), match.start(1)) from None
         if what == "height" and 0 in header[1:]:  # checked before maxval is read
             raise _pgm_error(path, f"zero dimension: width={header[1]} height={header[2]}", pos)
     magic, width, height, maxval = header
@@ -247,9 +247,13 @@ def save_mask(mask: LesionMask, path: str | Path, ascii_format: bool = False) ->
 
 def read_bytes(path: Path, error: type[ValueError], what: str) -> bytes:
     """A file's bytes; a path that is not a regular file (a FIFO would hang the read) raises ``error``."""
-    if not path.is_file():
-        raise error(f"{path}: {what} file {'is not a regular file' if path.exists() else 'does not exist'}")
-    return path.read_bytes()
+    try:
+        if path.is_file():
+            return path.read_bytes()
+        problem = "is not a regular file" if path.exists() else "does not exist"
+    except OSError as exc:  # a name too long, say; named with the file kind like the rest
+        problem = f"cannot be read: {exc.strerror or exc}"
+    raise error(f"{path}: {what} file {problem}")
 
 
 def read_text(path: Path, error: type[ValueError], what: str) -> str:
@@ -323,6 +327,20 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
+def parse_int(text: str, what: str) -> int:
+    """The integer in ``text``: surrounding whitespace, an optional ``-``, then ASCII
+    digits only.  Other text, or more digits than ``int()`` converts, raises ValueError."""
+    token = text.strip()
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):  # a token over 40 characters is cut
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        raise ValueError(f"{what} {shown} is not an integer")
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
 _NUMBER_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 
 
@@ -377,13 +395,7 @@ def parse_grades(dr_cell: str, dme_cell: str) -> Optional[GradePair]:
         return None
     if not all(cells):
         raise ValueError("dr_grade and dme_grade must be present together or absent together")
-    grades = []
-    for column, text in zip(("dr_grade", "dme_grade"), cells):
-        try:
-            grades.append(int(text))
-        except ValueError:
-            raise ValueError(f"{column} {text!r} is not an integer") from None
-    return GradePair(*grades)
+    return GradePair(parse_int(cells[0], "dr_grade"), parse_int(cells[1], "dme_grade"))
 
 
 def graded(rows: Sequence[tuple], what: str) -> list[GradePair]:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import GradePair, LesionClass, integers, parse_grades, read_table, write_csv
+from .mask_io import GradePair, LesionClass, integers, parse_grades, parse_int, read_table, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -173,5 +173,5 @@ def parse_feature_row(cells: list[str]) -> FeatureRow:
     """A features-CSV or ``ground_truth.csv`` row of 7 or 15 cells: the image id,
     the counts of the mode that width gives, then the label's cells.  A bad count
     or grade raises ValueError."""
-    vector = FeatureVector(mode=_MODE_OF_WIDTH[len(cells)], values=tuple(int(c) for c in cells[1:-2]))
-    return cells[0], vector, parse_grades(cells[-2], cells[-1])
+    counts = tuple(parse_int(cell, "feature count") for cell in cells[1:-2])
+    return cells[0], FeatureVector(_MODE_OF_WIDTH[len(cells)], counts), parse_grades(cells[-2], cells[-1])

@@ -318,7 +318,66 @@ def test_inconsistent_model_exits_2_naming_the_model(pipeline, tmp_path, capsys,
 def test_hidden_dims_flag_needs_integers(pipeline, tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main(_training_args(command, pipeline, out)[:-2] + ["--hidden-dims", "8,x"]) == 2
-    assert capsys.readouterr().err == "error: --hidden-dims needs integers, got '8,x'\n"
+    assert capsys.readouterr().err == "error: --hidden-dims 'x' is not an integer\n"
+    assert not out.exists()
+
+
+def _with_cell(source, out, column, text):
+    """A copy of the CSV ``source`` at ``out``, its first row's ``column`` cell set to ``text``."""
+    rows = list(csv.reader(io.StringIO(source.read_text(), newline="")))
+    rows[1][rows[0].index(column)] = text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    out.write_text(buffer.getvalue())
+    return out
+
+
+@pytest.mark.parametrize("source,column,text,message", [
+    ("features.csv", "f1", "1_0", "feature count '1_0' is not an integer"),
+    ("features.csv", "f1", "\u0663", "feature count '\u0663' is not an integer"),
+    ("features.csv", "f1", "+3", "feature count '+3' is not an integer"),
+    ("manifest.csv", "dr_grade", "0_1", "dr_grade '0_1' is not an integer"),
+    ("pred.csv", "dr_pred", "+1", "dr_pred '+1' is not an integer"),
+    ("manifest.csv", "dme_grade", "9" * 5001, "dme_grade has 5001 digits, too many to read"),
+], ids=["count-1_0", "count-arabic-indic-3", "count-+3", "grade-0_1", "pred-+1", "grade-5001-digits"])
+def test_integer_cells_take_ascii_digits_only(pipeline, tmp_path, capsys, source, column, text, message):
+    # int() read 1_0 as 10, U+0663 as 3 and +3 as 3; 5,001 digits leaked
+    # CPython's own digit-limit text.
+    manifest, out = pipeline / "data" / "manifest.csv", tmp_path / "out"
+    path = _with_cell(manifest if source == "manifest.csv" else pipeline / source, tmp_path / source, column, text)
+    args = {
+        "features.csv": ["predict", "--model", str(pipeline / "model.json"), "--features", str(path)],
+        "manifest.csv": ["extract", "--manifest", str(path)],
+        "pred.csv": ["evaluate", "--truth", str(manifest), "--pred", str(path)],
+    }[source]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 2: {message}\n"
+    assert len(err.encode()) < 200
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--hidden-dims", "8,1_6", "--hidden-dims '1_6' is not an integer"),
+    ("--canvas", "2_56x256", "--canvas must look like 1024x1024, got '2_56x256'"),
+], ids=["hidden-dims", "canvas"])
+def test_integer_flags_take_ascii_digits_only(pipeline, tmp_path, capsys, flag, value, message):
+    # int() read 1_6 as 16 and 2_56 as 256.
+    out = tmp_path / "out"
+    args = (_training_args("train", pipeline, out)[:-2] if flag == "--hidden-dims"
+            else ["synth", "--out", str(out), "--n", "1"])
+    assert main(args + [flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_overlong_mask_path_exits_2_naming_the_mask_file(pipeline, tmp_path, capsys):
+    # is_file() raised a bare "[Errno 36] File name too long", naming no file kind.
+    manifest = _with_cell(pipeline / "data" / "manifest.csv", tmp_path / "manifest.csv", "ma_mask", "m" * 5000)
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / ('m' * 5000)}: mask file cannot be read: File name too long\n")
     assert not out.exists()
 
 
@@ -750,13 +809,19 @@ def test_prediction_ids_with_commas_and_quotes(pipeline, tmp_path):
 
 
 # Cell text that no writer produces: huge integers, JSON's non-finite
-# tokens, other scripts' digits, separators and quotes.
+# tokens, other scripts' digits, Python's own 1_0 and +3, separators and quotes.
 _HOSTILE_CELLS = st.one_of(
     st.integers(0, 300).map(str),
     st.integers(2**53 - 2, 2**80).map(str),
     st.integers(17, 5000).map(lambda n: "9" * n),
-    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e308", "-1", "", " 3", "\u0663", '"', "a,b"]),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e308", "-1", "", " 3", "\u0663", "1_0", "+3", '"', "a,b"]),
 )
+# Text that only a reader which let an exception through would print.
+_LEAKED_TEXT = ("codec can't decode", "int_max_str_digits", "int() with base 10")
+
+
+def _assert_no_leak(err):
+    assert not [text for text in _LEAKED_TEXT if text in err], err
 
 
 @st.composite
@@ -798,7 +863,7 @@ def test_hostile_features_csv_exits_0_or_2(pipeline, capsys, data):
         ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
     ):
         assert main(args) in (0, 2), args
-        assert "codec can't decode" not in capsys.readouterr().err
+        _assert_no_leak(capsys.readouterr().err)
 
 
 @_HYPOTHESIS_CLI
@@ -809,7 +874,7 @@ def test_hostile_predictions_csv_exits_0_or_2(pipeline, capsys, data):
     path.write_bytes(data.draw(_hostile_csv(["image_id", "dr_pred", "dme_pred"], ids)))
     for truth in (pipeline / "features.csv", pipeline / "data" / "manifest.csv"):
         assert main(["evaluate", "--truth", str(truth), "--pred", str(path)]) in (0, 2)
-        assert "codec can't decode" not in capsys.readouterr().err
+        _assert_no_leak(capsys.readouterr().err)
 
 
 @_HYPOTHESIS_CLI
@@ -826,7 +891,7 @@ def test_hostile_manifest_exits_0_or_2(pipeline, capsys, data):
         ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
     ):
         assert main(args) in (0, 2), args
-        assert "codec can't decode" not in capsys.readouterr().err
+        _assert_no_leak(capsys.readouterr().err)
 
 
 # JSON text that no model writer produces: integers and a literal past the

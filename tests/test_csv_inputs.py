@@ -145,7 +145,7 @@ PREDICTIONS_CASES = {
     "grade-missing": (PREDICTIONS_HEADER + b"\na,2,\n", ValueError),
     "extra-cell": (PREDICTIONS_HEADER + b"\na,2,1,0\n", ValueError),
     "grade-not-integer": (PREDICTIONS_HEADER + b"\na,x,1\n",
-                          (ValueError, "line 2: invalid literal for int() with base 10: 'x'")),
+                          (ValueError, "line 2: dr_pred 'x' is not an integer")),
     "duplicate-id": (PREDICTIONS_HEADER + b"\na,2,1\nb,0,0\na,2,1\n",
                      (ValueError, "line 4: duplicate image_id 'a'")),
 }
@@ -228,7 +228,7 @@ def test_ground_truth_edge_cases(tmp_path, name):
 
 
 @pytest.mark.parametrize("name,message", [
-    ("not-an-integer", "invalid literal for int() with base 10: 'x'"),
+    ("not-an-integer", "feature count 'x' is not an integer"),
     ("negative-count", "feature counts must be in 0..2**53-1"),
     ("bad-grade", "dr_grade 9 out of range 0..4"),
 ], ids=["not-an-integer", "negative-count", "bad-grade"])

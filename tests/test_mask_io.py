@@ -18,7 +18,7 @@ from retsym import (
     write_manifest,
 )
 from retsym.cli import main
-from retsym.mask_io import BINARIZE_THRESHOLD, _read_pgm
+from retsym.mask_io import BINARIZE_THRESHOLD, _read_pgm, parse_int
 
 from conftest import mask_from_ascii
 
@@ -392,6 +392,24 @@ def test_a_path_that_is_not_a_regular_file_is_named_so(tmp_path, capsys, kind):
         load_mask(path, LesionClass.MA)
     assert main(["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv")]) == 2
     assert f"error: {path}: manifest file is not a regular file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,value", [(" 2 ", 2), ("\t007\n", 7), ("-3", -3), ("-0", 0)])
+def test_parse_int_reads_an_optional_minus_and_ascii_digits(text, value):
+    assert parse_int(text, "n") == value
+
+
+@pytest.mark.parametrize("text,message", [
+    *((text, f"n {text.strip()!r} is not an integer")
+      for text in ("1_0", "+3", "\u0663", "\u00b2", "1e3", "3.0", "", " ", "-", "--3", "- 3", "0x1")),
+    ("x" * 40, f"n {'x' * 40!r} is not an integer"),
+    ("x" * 41, f"n {'x' * 40!r}... (41 characters) is not an integer"),
+    ("-" + "9" * 5000, "n has 5000 digits, too many to read"),
+])
+def test_parse_int_refuses_other_text_in_one_short_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_int(text, "n")
+    assert str(exc.value) == message
 
 
 def test_comments_and_whitespace_in_header(tmp_path):
