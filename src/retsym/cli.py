@@ -127,6 +127,15 @@ def _training_settings(args: argparse.Namespace) -> tuple[dict, TrainConfig, dic
     }
 
 
+def _int_flag(text: str) -> int:
+    """The argparse ``type`` of an integer flag: :func:`parse_int`'s grammar, and an
+    error that argparse prefixes with the flag's name."""
+    try:
+        return parse_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="JSON", help="JSON file of option defaults; explicit flags win")
     defaults = TrainConfig()
@@ -142,7 +151,8 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     ):
         default = getattr(defaults, name)
         metavar = flag[2:].upper().replace("-", "_")
-        sub.add_argument(flag, type=type(default), dest=name, metavar=metavar, help=f"{text} (default: {default})")
+        kind = _int_flag if isinstance(default, int) else float
+        sub.add_argument(flag, type=kind, dest=name, metavar=metavar, help=f"{text} (default: {default})")
     dims = ",".join(map(str, DEFAULT_HIDDEN_DIMS))
     sub.add_argument("--hidden-dims", default=None, help=f"comma-separated trunk layer widths (default: {dims})")
 
@@ -287,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic mask dataset with known labels")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=100, help="number of images (default: 100)")
+    p.add_argument("--n", type=_int_flag, default=100, help="number of images (default: 100)")
     p.add_argument("--canvas", default="1024x1024", help="mask size WxH (default: 1024x1024)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
+    p.add_argument("--seed", type=_int_flag, default=0, help="generator seed (default: 0)")
     p.add_argument(
         "--rule",
         choices=[r.value for r in LabelRule],

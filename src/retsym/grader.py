@@ -4,11 +4,11 @@ The network maps a symbolic feature vector to two softmax heads: a 5-way DR
 severity grade and a 3-way DME grade.  Inputs pass through log1p + z-score
 preprocessing (stats frozen into the model at training time), then a ReLU
 trunk whose default hidden widths are 25, 50, 75, 100, 75, 50, 25, 12, then
-the two affine heads.  Training is plain backpropagation with Adam, inverted
-dropout after every hidden activation, an internal train/validation split,
-and early stopping that restores the best-validation weights.  Every random
-choice is drawn from one seeded generator, so a (dataset, config) pair
-always produces the same model, byte for byte.
+the two affine heads.  Training is plain backpropagation with Adam, optional
+inverted dropout after every hidden activation (off by default), an internal
+train/validation split, and early stopping that restores the best-validation
+weights.  Every random choice is drawn from one seeded generator, so a
+(dataset, config) pair always produces the same model, byte for byte.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # The default seed matters more than usual: with the reference trunk,
-    # lr 0.01 and dropout on every hidden layer, convergence is noticeably
-    # init-sensitive.  Seed 8 converges well across the synthetic datasets
-    # in the test suite; see the training notes in the README.
+    # Over data seeds 13-25 (tools/sweep.py), batch 64 without dropout held
+    # out at least 0.98 joint accuracy; batch 16 with dropout 0.1 fell to
+    # 0.8075, and it takes four times the Adam steps.  See the README.
     learning_rate: float = 0.01
-    batch_size: int = 16
-    dropout_prob: float = 0.1
+    batch_size: int = 64
+    dropout_prob: float = 0.0
     max_epochs: int = 20
     patience: int = 3
     validation_fraction: float = 0.2

@@ -371,6 +371,26 @@ def test_integer_flags_take_ascii_digits_only(pipeline, tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--batch-size", "6_4"),
+    ("synth", "--seed", "٣"),
+    ("synth", "--n", "1_0"),
+    ("ablation", "--max-epochs", "+3"),
+    ("train", "--patience", "٣"),
+])
+def test_argparse_integer_flags_take_ascii_digits_only(pipeline, tmp_path, capsys, command, flag, value):
+    # argparse's int read 6_4 as 64, ٣ (Arabic-Indic three) as 3 and +3 as 3.
+    out = tmp_path / "out"
+    args = ["synth", "--out", str(out), "--canvas", "64x64"] if command == "synth" else \
+        _training_args(command, pipeline, out)
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"retsym {command}: error: argument {flag}: value {value!r} is not an integer"
+    assert not out.exists()
+
+
 def test_overlong_mask_path_exits_2_naming_the_mask_file(pipeline, tmp_path, capsys):
     # is_file() raised a bare "[Errno 36] File name too long", naming no file kind.
     manifest = _with_cell(pipeline / "data" / "manifest.csv", tmp_path / "manifest.csv", "ma_mask", "m" * 5000)

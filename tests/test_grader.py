@@ -297,7 +297,7 @@ def _model_probs(model, x):
 
 
 def test_inference_is_deterministic_despite_dropout_config():
-    model = train(_toy_dataset(), TrainConfig(max_epochs=5), hidden_dims=TINY_DIMS)
+    model = train(_toy_dataset(), TrainConfig(max_epochs=5, dropout_prob=0.1), hidden_dims=TINY_DIMS)
     assert model.training_meta["config"]["dropout_prob"] > 0
     raw = np.array([[1, 2, 3, 4], [40, 50, 30, 45]], dtype=np.float64)
     x = _standardize(raw, model.shift, model.scale)
