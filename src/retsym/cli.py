@@ -42,6 +42,7 @@ from .mask_io import (
     graded,
     integers,
     load_manifest,
+    parse_float,
     parse_int,
     read_csv,
     read_json,
@@ -127,13 +128,18 @@ def _training_settings(args: argparse.Namespace) -> tuple[dict, TrainConfig, dic
     }
 
 
-def _int_flag(text: str) -> int:
-    """The argparse ``type`` of an integer flag: :func:`parse_int`'s grammar, and an
-    error that argparse prefixes with the flag's name."""
-    try:
-        return parse_int(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag_type(parse: Callable[[str, str], object]) -> Callable[[str], object]:
+    """The argparse ``type`` of a flag read by ``parse``: its grammar, and an error
+    that argparse prefixes with the flag's name."""
+    def read(text: str):
+        try:
+            return parse(text, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+_int_flag, _float_flag = _flag_type(parse_int), _flag_type(parse_float)
 
 
 def _add_train_options(sub: argparse.ArgumentParser) -> None:
@@ -151,7 +157,7 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     ):
         default = getattr(defaults, name)
         metavar = flag[2:].upper().replace("-", "_")
-        kind = _int_flag if isinstance(default, int) else float
+        kind = _int_flag if isinstance(default, int) else _float_flag
         sub.add_argument(flag, type=kind, dest=name, metavar=metavar, help=f"{text} (default: {default})")
     dims = ",".join(map(str, DEFAULT_HIDDEN_DIMS))
     sub.add_argument("--hidden-dims", default=None, help=f"comma-separated trunk layer widths (default: {dims})")
@@ -349,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="paired simple-vs-extended feature comparison")
     p.add_argument("--manifest", required=True, help="labeled dataset manifest CSV")
-    p.add_argument("--test-fraction", type=float, default=None, help="held-out fraction (default: 0.2)")
+    p.add_argument("--test-fraction", type=_float_flag, default=None, help="held-out fraction (default: 0.2)")
     p.add_argument("--out", default=None, help="optional report CSV")
     _add_train_options(p)
     _add_thresholds_option(p)

@@ -7,8 +7,11 @@ trunk whose default hidden widths are 25, 50, 75, 100, 75, 50, 25, 12, then
 the two affine heads.  Training is plain backpropagation with Adam, optional
 inverted dropout after every hidden activation (off by default), an internal
 train/validation split, and early stopping that restores the best-validation
-weights.  Every random choice is drawn from one seeded generator, so a
-(dataset, config) pair always produces the same model, byte for byte.
+weights.  Training runs in float32 (parameters, gradients, activations and
+Adam moments) and flushes subnormal Adam moments to 0 after each epoch;
+inference and the model file stay float64.  Every random choice is drawn
+from one seeded generator, so a (dataset, config) pair always produces the
+same model, byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 PROB_CLAMP = 1e-12
+
+_FLOAT32_TINY = np.finfo(np.float32).tiny  # the smallest normal float32
 
 MODEL_FORMAT_VERSION = 1
 
@@ -80,7 +85,8 @@ class GraderModel:
 
     ``params`` holds every weight and bias in one float64 vector, in the
     order :func:`_layout` derives from ``trunk_dims``; :func:`_views` cuts
-    it into per-layer arrays.
+    it into per-layer arrays.  :func:`train` fills it with float32 values,
+    each exactly representable in float64.
     """
 
     feature_mode: FeatureMode
@@ -193,7 +199,9 @@ def _forward_batch(
             raise ValueError("dropout requires an rng")
         # One draw for every layer, cut in layer order: the generator fills it
         # value by value, so the masks equal one draw per layer.
-        keep = (rng.random(n * sum(widths)) >= dropout_prob) / (1.0 - dropout_prob)
+        # In the activations' dtype, so a float32 pass stays float32.
+        keep = (rng.random(n * sum(widths)) >= dropout_prob).astype(x.dtype)
+        keep /= 1.0 - dropout_prob
         at = 0
         for k, width in enumerate(widths):
             masks[k] = keep[at : at + n * width].reshape(n, width)
@@ -267,7 +275,7 @@ def loss_and_gradients(
     """Mean loss over a batch and its analytic parameter gradients, written
     into ``out`` (one array per entry of ``params``) or into fresh arrays."""
     if out is None:
-        out = [np.empty(np.shape(p)) for p in params]
+        out = [np.empty_like(p) for p in params]
     dr_probs, dme_probs, cache = _forward_batch(params, n_trunk, x, dropout_prob, rng)
     value = _mean_loss(dr_probs, dme_probs, y_dr, y_dme)
     _backward_batch(params, n_trunk, cache, dr_probs, dme_probs, y_dr, y_dme, out)
@@ -279,24 +287,22 @@ def _adam_step(
     s1: np.ndarray, s2: np.ndarray, step: int, lr: float,
 ) -> None:
     """One Adam step (Kingma & Ba, ICLR 2015) on ``flat``, moments ``m`` and
-    ``v`` and scratch ``s1``, ``s2``, all in place.  The operations keep the
-    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-    ``flat -= (lr*m_hat) / (sqrt(v_hat)+eps)``, so every bit matches it."""
+    ``v`` and scratch ``s1``, ``s2``, all in place.  The bias corrections are
+    folded into two scalars, as in Section 2 of the paper: with
+    ``c = sqrt(1-b2**step)``, ``flat -= (lr_t*m) / (sqrt(v) + eps*c)`` where
+    ``lr_t = lr*c / (1-b1**step)``, after ``m = b1*m + (1-b1)*g`` and
+    ``v = b2*v + ((1-b2)*g)*g``.  The operations keep that order, so every bit
+    matches the expression evaluated in the arrays' dtype."""
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
     np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
     s1 *= g
     v *= ADAM_BETA2
     v += s1
-    bias1 = 1.0 - ADAM_BETA1**step
-    if bias1 == 1.0:  # from step 356 on; m / 1.0 == m bit for bit
-        np.multiply(m, lr, out=s1)
-    else:
-        np.divide(m, bias1, out=s1)  # m_hat
-        s1 *= lr
-    np.divide(v, 1.0 - ADAM_BETA2**step, out=s2)  # v_hat
-    np.sqrt(s2, out=s2)
-    s2 += ADAM_EPS
+    c = math.sqrt(1.0 - ADAM_BETA2**step)
+    np.multiply(m, lr * c / (1.0 - ADAM_BETA1**step), out=s1)
+    np.sqrt(v, out=s2)
+    s2 += ADAM_EPS * c
     s1 /= s2
     flat -= s1
 
@@ -363,16 +369,18 @@ def train(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     shift, scale = _fit_preprocess(raw[train_idx])
-    x_all = _standardize(raw, shift, scale)
+    x_all = _standardize(raw, shift, scale).astype(np.float32)  # training runs in float32
     x_train, y_dr_train, y_dme_train = x_all[train_idx], y_dr_all[train_idx], y_dme_all[train_idx]
     x_val, y_dr_val, y_dme_val = x_all[val_idx], y_dr_all[val_idx], y_dme_all[val_idx]
 
     n_trunk = len(trunk_dims) - 1
-    flat = _init_flat(rng, trunk_dims)
+    flat = _init_flat(rng, trunk_dims).astype(np.float32)
     params = _views(flat, trunk_dims)  # updated in place through flat
     g = np.empty_like(flat)
     grads = _views(g, trunk_dims)  # written in place by each step
-    adam_m, adam_v, s1, s2 = (np.zeros_like(flat) for _ in range(4))  # s1, s2: scratch
+    moments = np.zeros((2, len(flat)), dtype=np.float32)
+    adam_m, adam_v = moments
+    s1, s2 = np.empty_like(moments)  # scratch
     step = 0
 
     best_val = np.inf
@@ -393,6 +401,10 @@ def train(
             # Adam is element-wise, so one update over the whole vector gives
             # the same numbers as one per layer.
             _adam_step(flat, g, adam_m, adam_v, s1, s2, step, config.learning_rate)
+        # The first moment of a weight whose gradient stays 0 (a dead ReLU)
+        # decays by b1 a step into float32 subnormals, which are many times
+        # slower to compute with.  Such an entry is flushed to 0 instead.
+        moments[(moments != 0.0) & (np.abs(moments) < _FLOAT32_TINY)] = 0.0
 
         # [:2] drops the cache, so no forward pass outlives its epoch.
         dr_p, dme_p = _forward_batch(params, n_trunk, x_val)[:2]
@@ -410,7 +422,7 @@ def train(
         feature_mode=mode,
         thresholds=thresholds,
         trunk_dims=trunk_dims,
-        params=best_flat,
+        params=best_flat.astype(np.float64),
         shift=shift,
         scale=scale,
         seed=config.seed,

@@ -8,8 +8,9 @@ token by token, and the error's offset names the offending token.  A pixel is
 lesion foreground iff its sample value exceeds 127.  The manifest is a CSV
 binding four per-class mask files and an optional :class:`GradePair` to each
 image id.  Each input rule lives here once (grades; file, text, JSON and CSV
-reads; fixed-header CSV tables; integers, from text by :func:`parse_int` and
-otherwise by :func:`is_number`); :func:`write_csv` writes every CSV output.
+reads; fixed-header CSV tables; numbers, from text by :func:`parse_int` and
+:func:`parse_float` and otherwise by :func:`is_number`); :func:`write_csv`
+writes every CSV output.
 """
 
 from __future__ import annotations
@@ -327,18 +328,37 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
+def _shown(token: str) -> str:
+    """``token`` for an error message: its repr, cut after 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def parse_int(text: str, what: str) -> int:
     """The integer in ``text``: surrounding whitespace, an optional ``-``, then ASCII
     digits only.  Other text, or more digits than ``int()`` converts, raises ValueError."""
     token = text.strip()
     digits = token.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):  # a token over 40 characters is cut
-        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
-        raise ValueError(f"{what} {shown} is not an integer")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {_shown(token)} is not an integer")
     try:
         return int(token)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
+_FLOAT_TOKEN = re.compile(
+    r"-?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|nan|inf|infinity)", re.ASCII | re.IGNORECASE
+)
+
+
+def parse_float(text: str, what: str) -> float:
+    """The real number in ``text``: surrounding whitespace, an optional ``-``, then
+    ASCII digits with an optional ``.`` and exponent, or ``nan``, ``inf`` or
+    ``infinity`` in any case.  Other text raises ValueError."""
+    token = text.strip()
+    if not _FLOAT_TOKEN.fullmatch(token):
+        raise ValueError(f"{what} {_shown(token)} is not a number")
+    return float(token)
 
 
 _NUMBER_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}

@@ -391,6 +391,23 @@ def test_argparse_integer_flags_take_ascii_digits_only(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--dropout", "\u0660.\u0665"),
+    ("train", "--lr", "1_0e-3"),
+    ("ablation", "--val-fraction", "+0.3"),
+    ("ablation", "--test-fraction", "0.\u0662"),
+])
+def test_argparse_float_flags_take_ascii_numbers_only(pipeline, tmp_path, capsys, command, flag, value):
+    # argparse's float read \u0660.\u0665 (Arabic-Indic 0.5) as 0.5, 1_0e-3 as 0.01 and +0.3 as 0.3.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(_training_args(command, pipeline, out) + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"retsym {command}: error: argument {flag}: value {value!r} is not a number"
+    assert not out.exists()
+
+
 def test_overlong_mask_path_exits_2_naming_the_mask_file(pipeline, tmp_path, capsys):
     # is_file() raised a bare "[Errno 36] File name too long", naming no file kind.
     manifest = _with_cell(pipeline / "data" / "manifest.csv", tmp_path / "manifest.csv", "ma_mask", "m" * 5000)

@@ -430,7 +430,7 @@ def _gradients_reference(params, n_trunk, x, y_dr, y_dme, dropout_prob, rng):
         a = np.maximum(z, 0.0)
         mask = None
         if dropout_prob > 0.0:
-            mask = (rng.random(a.shape) >= dropout_prob) / (1.0 - dropout_prob)
+            mask = (rng.random(a.shape) >= dropout_prob).astype(a.dtype) / (1.0 - dropout_prob)
             a = a * mask
         masks.append(mask)
     w_dr, b_dr, w_dme, b_dme = params[2 * n_trunk : 2 * n_trunk + 4]
@@ -454,9 +454,10 @@ def _gradients_reference(params, n_trunk, x, y_dr, y_dme, dropout_prob, rng):
 
 
 def _train_reference(dataset, config, hidden_dims):
-    """``train`` as an allocate-per-step loop: a new gradient vector by
-    concatenation and Adam as one vector expression.  Returns the best
-    parameters and the training_meta."""
+    """``train`` as an allocate-per-step loop in float32: a new gradient
+    vector by concatenation, Adam with its folded bias correction as one
+    vector expression, and subnormal moments set to 0 after each epoch.
+    Returns the best parameters and the training_meta."""
     raw = np.array([fv.values for fv, _ in dataset], dtype=np.float64)
     y_dr_all = np.array([label.dr for _, label in dataset], dtype=np.intp)
     y_dme_all = np.array([label.dme for _, label in dataset], dtype=np.intp)
@@ -466,13 +467,13 @@ def _train_reference(dataset, config, hidden_dims):
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     shift, scale = _fit_preprocess(raw[train_idx])
-    x_all = _standardize(raw, shift, scale)
+    x_all = _standardize(raw, shift, scale).astype(np.float32)
     x_train, y_dr_train, y_dme_train = x_all[train_idx], y_dr_all[train_idx], y_dme_all[train_idx]
     x_val, y_dr_val, y_dme_val = x_all[val_idx], y_dr_all[val_idx], y_dme_all[val_idx]
 
     trunk_dims = (dataset[0][0].mode.length, *hidden_dims)
     n_trunk = len(trunk_dims) - 1
-    flat = _init_flat(rng, trunk_dims)
+    flat = _init_flat(rng, trunk_dims).astype(np.float32)
     params = _views(flat, trunk_dims)
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
@@ -489,9 +490,10 @@ def _train_reference(dataset, config, hidden_dims):
             step += 1
             adam_m = 0.9 * adam_m + (1.0 - 0.9) * g
             adam_v = 0.999 * adam_v + (1.0 - 0.999) * g * g
-            m_hat = adam_m / (1.0 - 0.9**step)
-            v_hat = adam_v / (1.0 - 0.999**step)
-            flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            c = math.sqrt(1.0 - 0.999**step)
+            flat -= config.learning_rate * c / (1.0 - 0.9**step) * adam_m / (np.sqrt(adam_v) + 1e-8 * c)
+        for moment in (adam_m, adam_v):
+            moment[(moment != 0.0) & (np.abs(moment) < np.finfo(np.float32).tiny)] = 0.0
         dr_p, dme_p, _ = _forward_batch(params, n_trunk, x_val)
         val_loss = _mean_loss(dr_p, dme_p, y_dr_val, y_dme_val)
         epochs_run = epoch
@@ -503,7 +505,7 @@ def _train_reference(dataset, config, hidden_dims):
                 break
     meta = {"epochs_run": epochs_run, "best_epoch": best_epoch, "best_val_loss": best_val,
             "train_size": int(n_train), "val_size": int(n_val), "config": config.to_dict()}
-    return best_flat, meta
+    return best_flat.astype(np.float64), meta
 
 
 @pytest.mark.parametrize(
@@ -526,19 +528,21 @@ def test_train_matches_allocating_reference(hidden_dims, batch_size, patience):
 
 @pytest.mark.parametrize("step", [1, 355, 356, 4800])
 def test_adam_step_matches_textbook_update(step):
-    # From step 356 on, 1 - 0.9**step is exactly 1.0 and m_hat is m itself.
-    assert (1.0 - 0.9**step == 1.0) == (step >= 356)
-    rng = np.random.default_rng(step)
-    flat, g, m = (rng.normal(size=500) for _ in range(3))
-    v, lr = rng.random(500), 3e-3
-    want_m = 0.9 * m + (1.0 - 0.9) * g
-    want_v = 0.999 * v + (1.0 - 0.999) * g * g
-    m_hat = want_m / (1.0 - 0.9**step)
-    v_hat = want_v / (1.0 - 0.999**step)
-    want_flat = flat - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-    _adam_step(flat, g, m, v, np.empty(500), np.empty(500), step, lr)
-    assert np.array_equal(flat, want_flat)
-    assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
+    # Kingma & Ba's update with the bias corrections folded into the step
+    # size and epsilon (Section 2), evaluated in the arrays' dtype: float32
+    # as training runs, and float64.
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(step)
+        flat, g, m = (rng.normal(size=500).astype(dtype) for _ in range(3))
+        v, lr = rng.random(500).astype(dtype), 3e-3
+        want_m = 0.9 * m + (1.0 - 0.9) * g
+        want_v = 0.999 * v + (1.0 - 0.999) * g * g
+        c = math.sqrt(1.0 - 0.999**step)
+        want_flat = flat - lr * c / (1.0 - 0.9**step) * want_m / (np.sqrt(want_v) + 1e-8 * c)
+        _adam_step(flat, g, m, v, np.empty_like(flat), np.empty_like(flat), step, lr)
+        assert flat.dtype == m.dtype == v.dtype == dtype
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
 
 
 def test_loss_and_gradients_writes_into_out():
@@ -553,6 +557,58 @@ def test_loss_and_gradients_writes_into_out():
     into = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1), out=out)
     assert into[0] == fresh[0] and into[1] is out
     assert np.array_equal(buffer, np.concatenate(fresh[1], axis=None))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_gradients_follow_the_params_dtype(dtype):
+    rng = np.random.default_rng(6)
+    dims = (4, 6, 5)
+    params = [p.astype(dtype) for p in _init_params(rng, dims)]
+    x = rng.normal(size=(3, 4)).astype(dtype)
+    y_dr, y_dme = rng.integers(0, 5, size=3), rng.integers(0, 3, size=3)
+    _, grads = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1))
+    assert [g.dtype for g in grads] == [dtype] * len(params)
+    assert [g.shape for g in grads] == [p.shape for p in params]
+
+
+def test_trained_params_are_float32_values_and_round_trip(tmp_path):
+    model = train(_toy_dataset(), TrainConfig(max_epochs=4), hidden_dims=TINY_DIMS)
+    assert model.params.dtype == np.float64
+    assert np.array_equal(model.params.astype(np.float32).astype(np.float64), model.params)
+    save_model(model, tmp_path / "model.json")
+    again = load_model(tmp_path / "model.json")
+    assert np.array_equal(again.params, model.params)
+    vectors = [fv for fv, _ in _toy_dataset(n=20, seed=3)]
+    assert predict_batch(again, vectors) == predict_batch(model, vectors)
+
+
+def test_subnormal_adam_moments_are_flushed_each_epoch(monkeypatch):
+    # Every gradient entry is 1 on the first step and 0 after it, so the first
+    # moment is 0.1 * 0.9**(step - 1): a float32 subnormal from about step 808
+    # and 0 from about step 965.  Batch 1 over 100 training rows makes an
+    # epoch 100 steps, so epochs 9 and 10 start at steps 801 and 901.
+    calls = []
+
+    def gradients(params, n_trunk, x, y_dr, y_dme, dropout_prob=0.0, rng=None, *, out):
+        for g in out:
+            g[...] = 1.0 if not calls else 0.0
+        calls.append(None)
+        return 0.0, out
+
+    subnormal = {}
+    adam_step = grader._adam_step
+
+    def recording_adam_step(flat, g, m, v, s1, s2, step, lr):
+        subnormal[step] = int(np.count_nonzero((m != 0) & (np.abs(m) < np.finfo(np.float32).tiny)))
+        adam_step(flat, g, m, v, s1, s2, step, lr)
+
+    monkeypatch.setattr(grader, "loss_and_gradients", gradients)
+    monkeypatch.setattr(grader, "_adam_step", recording_adam_step)
+    config = TrainConfig(max_epochs=10, patience=10, batch_size=1)
+    assert train(_toy_dataset(n=125), config, hidden_dims=TINY_DIMS).training_meta["epochs_run"] == 10
+    assert len(subnormal) == 1000
+    assert subnormal[850] == subnormal[900] > 0  # the moments went subnormal within epoch 9
+    assert [subnormal[step] for step in range(1, 1001, 100)] == [0] * 10  # and no epoch began so
 
 
 def test_train_input_validation():

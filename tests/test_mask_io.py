@@ -1,3 +1,4 @@
+import math
 import os
 import re
 from pathlib import Path
@@ -18,7 +19,7 @@ from retsym import (
     write_manifest,
 )
 from retsym.cli import main
-from retsym.mask_io import BINARIZE_THRESHOLD, _read_pgm, parse_int
+from retsym.mask_io import BINARIZE_THRESHOLD, _read_pgm, parse_float, parse_int
 
 from conftest import mask_from_ascii
 
@@ -410,6 +411,27 @@ def test_parse_int_refuses_other_text_in_one_short_line(text, message):
     with pytest.raises(ValueError) as exc:
         parse_int(text, "n")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,value", [
+    (" 0.5 ", 0.5), ("-2.", -2.0), (".25", 0.25), ("1E+3", 1000.0), ("3e-2", 0.03), ("7", 7.0),
+    ("-inf", -math.inf), ("Infinity", math.inf),
+])
+def test_parse_float_reads_ascii_decimal_numbers(text, value):
+    assert parse_float(text, "x") == value
+
+
+def test_parse_float_reads_nan_in_any_case():
+    assert all(math.isnan(parse_float(text, "x")) for text in ("nan", "NaN", "-NAN"))
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+0.5", "\u0660.\u0665", "\u00b2", "0x1p3", "1e", "e3", ".", "", "-", "1.5.2", "inf1", "nanx", "1 e3",
+])
+def test_parse_float_refuses_other_text(text):
+    with pytest.raises(ValueError) as exc:
+        parse_float(text, "x")
+    assert str(exc.value) == f"x {text.strip()!r} is not a number"
 
 
 def test_comments_and_whitespace_in_header(tmp_path):

@@ -13,7 +13,9 @@ with the CLI's defaults; the training flags of ``retsym train`` (``--lr``,
 ``--hidden-dims``, ``--config``, ...) override them the same way.
 
 Stdout gets one JSON object per data seed, then one summary object: the
-minimum joint accuracy, its seed, and the seeds below 0.90.
+minimum joint accuracy, its seed, and the seeds below 0.90.  Each seed's
+object also holds ``train_s``, the wall-clock seconds of its ``train`` call;
+every other field is the same on every run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +46,9 @@ def sweep_seed(seed: int, config: TrainConfig, hidden_dims: Sequence[int] = DEFA
     labels = [p.label for p in plans]
     is_heldout = np.zeros(len(plans), dtype=bool)
     is_heldout[np.random.default_rng([seed, 2]).permutation(len(plans))[: round(len(plans) * HELDOUT_FRACTION)]] = True
+    started = time.perf_counter()
     model = train([(v, y) for v, y, h in zip(vectors, labels, is_heldout) if not h], config, hidden_dims=hidden_dims)
+    train_s = time.perf_counter() - started
     heldout = np.flatnonzero(is_heldout)
     report = evaluate([labels[i] for i in heldout], predict_batch(model, [vectors[i] for i in heldout]))
     return {
@@ -53,6 +58,7 @@ def sweep_seed(seed: int, config: TrainConfig, hidden_dims: Sequence[int] = DEFA
         "dme_accuracy": report.dme_accuracy,
         "best_epoch": model.training_meta["best_epoch"],
         "epochs_run": model.training_meta["epochs_run"],
+        "train_s": round(train_s, 3),
     }
 
 
