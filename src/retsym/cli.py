@@ -38,6 +38,7 @@ from .grader import DEFAULT_HIDDEN_DIMS, TrainConfig, load_model, predict_batch,
 from .mask_io import (
     MANIFEST_COLUMNS,
     GradePair,
+    _shown,
     as_number,
     graded,
     integers,
@@ -88,7 +89,13 @@ def read_predictions_csv(path: str | Path) -> list[tuple[str, GradePair]]:
 
 
 def _load_config_file(path: Optional[str]) -> dict:
-    return {} if path is None else read_json(Path(path), ValueError, "config")
+    doc = {} if path is None else read_json(Path(path), ValueError, "config")
+    # One file serves every command that reads one, so it may hold any of their settings.
+    known = {f.name for f in fields(TrainConfig)} | {"hidden_dims", "thresholds", "test_fraction"}
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{path}: unknown config key {_shown(key)}")
+    return doc
 
 
 def _setting(args: argparse.Namespace, doc: dict, name: str, default, count: Optional[int] = None):
@@ -149,11 +156,10 @@ def _add_train_options(sub: argparse.ArgumentParser) -> None:
     for flag, name, text in (
         ("--lr", "learning_rate", "Adam learning rate"),
         ("--batch-size", "batch_size", "minibatch size"),
-        ("--dropout", "dropout_prob", "dropout probability after each hidden layer"),
         ("--max-epochs", "max_epochs", "epoch cap"),
         ("--patience", "patience", "early-stopping patience in epochs"),
         ("--val-fraction", "validation_fraction", "fraction of training rows held out for validation"),
-        ("--seed", "seed", "seed for the split, weight init, batching and dropout"),
+        ("--seed", "seed", "seed for the split, weight init and batching"),
     ):
         default = getattr(defaults, name)
         metavar = flag[2:].upper().replace("-", "_")

@@ -4,14 +4,13 @@ The network maps a symbolic feature vector to two softmax heads: a 5-way DR
 severity grade and a 3-way DME grade.  Inputs pass through log1p + z-score
 preprocessing (stats frozen into the model at training time), then a ReLU
 trunk whose default hidden widths are 25, 50, 75, 100, 75, 50, 25, 12, then
-the two affine heads.  Training is plain backpropagation with Adam, optional
-inverted dropout after every hidden activation (off by default), an internal
-train/validation split, and early stopping that restores the best-validation
-weights.  Training runs in float32 (parameters, gradients, activations and
-Adam moments) and flushes subnormal Adam moments to 0 after each epoch;
-inference and the model file stay float64.  Every random choice is drawn
-from one seeded generator, so a (dataset, config) pair always produces the
-same model, byte for byte.
+the two affine heads.  Training is plain backpropagation with Adam, an
+internal train/validation split, and early stopping that restores the
+best-validation weights.  Training runs in float32 (parameters, gradients,
+activations and Adam moments) and flushes subnormal Adam moments to 0 after
+each epoch; inference and the model file stay float64.  Every random choice
+is drawn from one seeded generator, so a (dataset, config) pair always
+produces the same model, byte for byte.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # Over data seeds 13-25 (tools/sweep.py), batch 64 without dropout held
-    # out at least 0.98 joint accuracy; batch 16 with dropout 0.1 fell to
-    # 0.8075, and it takes four times the Adam steps.  See the README.
+    # Over data seeds 13-25 (tools/sweep.py), batch 64 held out at least
+    # 0.98 joint accuracy; the earlier batch-16 settings fell to 0.8075 and
+    # took four times the Adam steps.  See the README.
     learning_rate: float = 0.01
     batch_size: int = 64
-    dropout_prob: float = 0.0
     max_epochs: int = 20
     patience: int = 3
     validation_fraction: float = 0.2
@@ -64,8 +62,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout_prob must be in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
@@ -184,29 +180,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _forward_batch(
-    params: Sequence[np.ndarray],
-    n_trunk: int,
-    x: np.ndarray,
-    dropout_prob: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Batch forward pass.  Dropout masks are drawn only when dropout_prob > 0."""
-    n, widths = len(x), [len(b) for b in params[1 : 2 * n_trunk : 2]]
-    masks: list = [None] * n_trunk
-    if dropout_prob > 0.0:
-        if rng is None:
-            raise ValueError("dropout requires an rng")
-        # One draw for every layer, cut in layer order: the generator fills it
-        # value by value, so the masks equal one draw per layer.
-        # In the activations' dtype, so a float32 pass stays float32.
-        keep = (rng.random(n * sum(widths)) >= dropout_prob).astype(x.dtype)
-        keep /= 1.0 - dropout_prob
-        at = 0
-        for k, width in enumerate(widths):
-            masks[k] = keep[at : at + n * width].reshape(n, width)
-            at += n * width
-    cache: dict = {"inputs": [], "pre": [], "masks": masks}
+def _forward_batch(params: Sequence[np.ndarray], n_trunk: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Batch forward pass: both heads' probabilities, and the cache the
+    backward pass reads."""
+    cache: dict = {"inputs": [], "pre": []}
     a = x
     for k in range(n_trunk):
         # np.dot makes the same BLAS call as @, with less overhead per call.
@@ -215,8 +192,6 @@ def _forward_batch(
         cache["inputs"].append(a)
         cache["pre"].append(z)
         a = np.maximum(z, 0.0)
-        if masks[k] is not None:
-            a *= masks[k]
     cache["trunk_out"] = a
     w_dr, b_dr, w_dme, b_dme = params[2 * n_trunk : 2 * n_trunk + 4]
     return _softmax(np.dot(a, w_dr) + b_dr), _softmax(np.dot(a, w_dme) + b_dme), cache
@@ -252,8 +227,6 @@ def _backward_batch(
 
     # d_a is always a fresh array, so the products below may overwrite it.
     for k in range(n_trunk - 1, -1, -1):
-        if cache["masks"][k] is not None:
-            d_a *= cache["masks"][k]
         d_a *= cache["pre"][k] > 0.0  # now the gradient w.r.t. the pre-activation
         np.add.reduce(d_a, axis=0, out=grads[2 * k + 1])
         np.dot(cache["inputs"][k].T, d_a, out=grads[2 * k])
@@ -267,8 +240,6 @@ def loss_and_gradients(
     x: np.ndarray,
     y_dr: np.ndarray,
     y_dme: np.ndarray,
-    dropout_prob: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
     *,
     out: Optional[list[np.ndarray]] = None,
 ) -> tuple[float, list[np.ndarray]]:
@@ -276,7 +247,7 @@ def loss_and_gradients(
     into ``out`` (one array per entry of ``params``) or into fresh arrays."""
     if out is None:
         out = [np.empty_like(p) for p in params]
-    dr_probs, dme_probs, cache = _forward_batch(params, n_trunk, x, dropout_prob, rng)
+    dr_probs, dme_probs, cache = _forward_batch(params, n_trunk, x)
     value = _mean_loss(dr_probs, dme_probs, y_dr, y_dme)
     _backward_batch(params, n_trunk, cache, dr_probs, dme_probs, y_dr, y_dme, out)
     return value, out
@@ -346,10 +317,9 @@ def train(
 ) -> GraderModel:
     """Train a grader on labeled feature vectors.
 
-    Deterministic for a given config: the split shuffle, weight init, batch
-    order and dropout masks all come from one generator seeded with
-    ``config.seed``.  Returns the weights of the epoch with the lowest
-    validation loss.
+    Deterministic for a given config: the split shuffle, weight init and
+    batch order all come from one generator seeded with ``config.seed``.
+    Returns the weights of the epoch with the lowest validation loss.
     """
     if len(dataset) < 2:
         raise ValueError(f"training needs at least 2 samples, got {len(dataset)}")
@@ -393,10 +363,7 @@ def train(
         xs, dr_ys, dme_ys = x_train[order], y_dr_train[order], y_dme_train[order]
         for start in range(0, n_train, config.batch_size):
             batch = slice(start, start + config.batch_size)
-            loss_and_gradients(
-                params, n_trunk, xs[batch], dr_ys[batch], dme_ys[batch],
-                dropout_prob=config.dropout_prob, rng=rng, out=grads,
-            )
+            loss_and_gradients(params, n_trunk, xs[batch], dr_ys[batch], dme_ys[batch], out=grads)
             step += 1
             # Adam is element-wise, so one update over the whole vector gives
             # the same numbers as one per layer.

@@ -392,7 +392,7 @@ def test_argparse_integer_flags_take_ascii_digits_only(pipeline, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("train", "--dropout", "\u0660.\u0665"),
+    ("train", "--val-fraction", "\u0660.\u0665"),
     ("train", "--lr", "1_0e-3"),
     ("ablation", "--val-fraction", "+0.3"),
     ("ablation", "--test-fraction", "0.\u0662"),
@@ -690,6 +690,56 @@ def test_config_hidden_dims_must_be_positive(pipeline, tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def _config_command_args(command, pipeline, out):
+    """A run of ``command`` (extract, train or ablation) that takes a --config file."""
+    if command == "extract":
+        return ["extract", "--manifest", str(pipeline / "data" / "manifest.csv"), "--out", str(out)]
+    return _training_args(command, pipeline, out)[:-2]  # without --hidden-dims
+
+
+@pytest.mark.parametrize("key", ["learning_rat", "dropout_prob", "k" * 100], ids=["misspelt", "removed", "long"])
+@pytest.mark.parametrize("command", ["extract", "train", "ablation"])
+def test_unknown_config_key_exits_2_before_input_is_read(pipeline, tmp_path, monkeypatch, capsys, command, key):
+    # Unknown keys were ignored: "learning_rat" trained at the default lr and exited 0.
+    def read_input(*args, **kwargs):
+        pytest.fail("input read before the config keys were checked")
+
+    for name in ("load_manifest", "read_features_csv", "ablation"):
+        monkeypatch.setattr(cli, name, read_input)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_epochs": 2, key: 0.1}))
+    out = tmp_path / "out"
+    assert main(_config_command_args(command, pipeline, out) + ["--config", str(config)]) == 2
+    shown = repr(key) if len(key) <= 40 else f"{key[:40]!r}... (100 characters)"
+    assert capsys.readouterr().err == f"error: {config}: unknown config key {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "ablation"])
+def test_one_config_file_serves_every_command(pipeline, tmp_path, monkeypatch, capsys, command):
+    def read_input(*args, **kwargs):
+        raise ValueError("input reached")
+
+    for name in ("load_manifest", "read_features_csv", "ablation"):
+        monkeypatch.setattr(cli, name, read_input)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TrainConfig().to_dict(), "hidden_dims": [16, 8],
+                                  "thresholds": list(DEFAULT_THRESHOLDS.as_tuple()), "test_fraction": 0.2}))
+    assert main(_config_command_args(command, pipeline, tmp_path / "out") + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: input reached\n"
+
+
+def test_model_trained_with_dropout_still_predicts(tmp_path):
+    # Written by `retsym train --hidden-dims 8,4 --dropout 0.1 --lr 0.03 --max-epochs 40
+    # --patience 40` before the dropout option was removed, with its predictions.
+    old = Path(__file__).parent / "data" / "dropout_model"
+    assert load_model(old / "model.json").training_meta["config"]["dropout_prob"] == 0.1
+    out = tmp_path / "predictions.csv"
+    assert main(["predict", "--model", str(old / "model.json"), "--features", str(old / "features.csv"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (old / "predictions.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["train", "ablation"])
 def test_negative_seed_exits_2_before_input_is_read(pipeline, tmp_path, monkeypatch, capsys, command):
     # ablation used to read every mask, then exit 2 with "expected non-negative integer".
@@ -766,7 +816,6 @@ def _help_entry(capsys, command, option):
 _OPTION_CASES = {
     "learning_rate": ("--lr", 0.05, 0.02),
     "batch_size": ("--batch-size", 7, 5),
-    "dropout_prob": ("--dropout", 0.25, 0.15),
     "max_epochs": ("--max-epochs", 9, 6),
     "patience": ("--patience", 5, 4),
     "validation_fraction": ("--val-fraction", 0.3, 0.4),
@@ -809,11 +858,7 @@ def test_train_option_declaration(pipeline, tmp_path, monkeypatch, capsys, comma
     monkeypatch.setattr(cli, target, capture)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({field: config_value}))
-    if command == "extract":
-        base = ["extract", "--manifest", str(pipeline / "data" / "manifest.csv"),
-                "--out", str(tmp_path / "out")]
-    else:
-        base = _training_args(command, pipeline, tmp_path / "out")[:-2]  # without --hidden-dims
+    base = _config_command_args(command, pipeline, tmp_path / "out")
     for extra, want in (
         ([flag, flag_text], from_flag),  # the flag sets it
         (["--config", str(config)], from_config),  # --config sets it

@@ -105,8 +105,6 @@ def test_train_config_validation():
     bad = [
         {"learning_rate": 0.0},
         {"batch_size": 0},
-        {"dropout_prob": 1.0},
-        {"dropout_prob": -0.1},
         {"max_epochs": 0},
         {"patience": 0},
         {"validation_fraction": 0.0},
@@ -120,7 +118,7 @@ def test_train_config_validation():
         {"patience": 1.5},
         {"seed": -1},
         {"learning_rate": "0.01"},
-        {"dropout_prob": None},
+        {"validation_fraction": None},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -268,27 +266,6 @@ def test_gradients_match_central_differences():
     assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
 
 
-def test_dropout_mask_law():
-    rng = np.random.default_rng(12)
-    params = _init_params(rng, (4, 50, 8))
-    x = np.abs(rng.normal(size=(20, 4))) + 0.5
-    p = 0.25
-    _, _, cache = _forward_batch(params, 2, x, dropout_prob=p, rng=np.random.default_rng(0))
-    masks = cache["masks"]
-    assert all(m is not None for m in masks)
-    values = np.unique(np.concatenate([m.reshape(-1) for m in masks]))
-    assert set(np.round(values, 12)) <= {0.0, round(1 / (1 - p), 12)}
-    kept = np.concatenate([m.reshape(-1) for m in masks]) > 0
-    assert abs(kept.mean() - (1 - p)) < 0.03
-
-
-def test_dropout_requires_rng():
-    rng = np.random.default_rng(0)
-    params = _init_params(rng, (4, 5))
-    with pytest.raises(ValueError, match="rng"):
-        _forward_batch(params, 1, np.zeros((2, 4)), dropout_prob=0.5, rng=None)
-
-
 def _model_probs(model, x):
     """(DR, DME) probabilities of a trained model for standardized inputs."""
     params = _views(model.params, model.trunk_dims)
@@ -296,9 +273,8 @@ def _model_probs(model, x):
     return dr_probs, dme_probs
 
 
-def test_inference_is_deterministic_despite_dropout_config():
-    model = train(_toy_dataset(), TrainConfig(max_epochs=5, dropout_prob=0.1), hidden_dims=TINY_DIMS)
-    assert model.training_meta["config"]["dropout_prob"] > 0
+def test_inference_is_deterministic():
+    model = train(_toy_dataset(), TrainConfig(max_epochs=5), hidden_dims=TINY_DIMS)
     raw = np.array([[1, 2, 3, 4], [40, 50, 30, 45]], dtype=np.float64)
     x = _standardize(raw, model.shift, model.scale)
     a = _model_probs(model, x)
@@ -417,22 +393,16 @@ def test_early_stopping_respects_patience(patience):
     assert meta["epochs_run"] == meta["best_epoch"] + patience
 
 
-def _gradients_reference(params, n_trunk, x, y_dr, y_dme, dropout_prob, rng):
-    """Per-layer forward pass (one dropout draw per layer) and backward pass
-    into freshly allocated arrays, as training ran before it wrote into one
-    buffer."""
-    inputs, pre, masks = [], [], []
+def _gradients_reference(params, n_trunk, x, y_dr, y_dme):
+    """Per-layer forward pass and backward pass into freshly allocated
+    arrays, as training ran before it wrote into one buffer."""
+    inputs, pre = [], []
     a = x
     for k in range(n_trunk):
         z = a @ params[2 * k] + params[2 * k + 1]
         inputs.append(a)
         pre.append(z)
         a = np.maximum(z, 0.0)
-        mask = None
-        if dropout_prob > 0.0:
-            mask = (rng.random(a.shape) >= dropout_prob).astype(a.dtype) / (1.0 - dropout_prob)
-            a = a * mask
-        masks.append(mask)
     w_dr, b_dr, w_dme, b_dme = params[2 * n_trunk : 2 * n_trunk + 4]
     n = len(y_dr)
     g_dr = _softmax(a @ w_dr + b_dr)
@@ -445,8 +415,6 @@ def _gradients_reference(params, n_trunk, x, y_dr, y_dme, dropout_prob, rng):
     d_a = g_dr @ w_dr.T + g_dme @ w_dme.T
     trunk = []
     for k in range(n_trunk - 1, -1, -1):
-        if masks[k] is not None:
-            d_a = d_a * masks[k]
         d_z = d_a * (pre[k] > 0.0)
         trunk[:0] = [inputs[k].T @ d_z, d_z.sum(axis=0)]
         d_a = d_z @ params[2 * k].T
@@ -484,8 +452,7 @@ def _train_reference(dataset, config, hidden_dims):
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = _gradients_reference(params, n_trunk, x_train[batch], y_dr_train[batch],
-                                         y_dme_train[batch], config.dropout_prob, rng)
+            grads = _gradients_reference(params, n_trunk, x_train[batch], y_dr_train[batch], y_dme_train[batch])
             g = np.concatenate(grads, axis=None)
             step += 1
             adam_m = 0.9 * adam_m + (1.0 - 0.9) * g
@@ -516,8 +483,7 @@ def test_train_matches_allocating_reference(hidden_dims, batch_size, patience):
     # 60 rows: 48 train, so neither batch size divides it; random labels make
     # early stopping fire.
     data = _noise_dataset()
-    config = TrainConfig(max_epochs=40, batch_size=batch_size, patience=patience,
-                         dropout_prob=0.1)
+    config = TrainConfig(max_epochs=40, batch_size=batch_size, patience=patience)
     model = train(data, config, hidden_dims=hidden_dims)
     want_params, want_meta = _train_reference(data, config, hidden_dims)
     assert model.training_meta["train_size"] % batch_size != 0
@@ -551,10 +517,10 @@ def test_loss_and_gradients_writes_into_out():
     params = _init_params(rng, dims)
     x = rng.normal(size=(3, 4))
     y_dr, y_dme = rng.integers(0, 5, size=3), rng.integers(0, 3, size=3)
-    fresh = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1))
+    fresh = loss_and_gradients(params, 2, x, y_dr, y_dme)
     buffer = np.full(sum(p.size for p in params), np.nan)
     out = _views(buffer, dims)
-    into = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1), out=out)
+    into = loss_and_gradients(params, 2, x, y_dr, y_dme, out=out)
     assert into[0] == fresh[0] and into[1] is out
     assert np.array_equal(buffer, np.concatenate(fresh[1], axis=None))
 
@@ -566,7 +532,7 @@ def test_loss_and_gradients_follow_the_params_dtype(dtype):
     params = [p.astype(dtype) for p in _init_params(rng, dims)]
     x = rng.normal(size=(3, 4)).astype(dtype)
     y_dr, y_dme = rng.integers(0, 5, size=3), rng.integers(0, 3, size=3)
-    _, grads = loss_and_gradients(params, 2, x, y_dr, y_dme, 0.3, np.random.default_rng(1))
+    _, grads = loss_and_gradients(params, 2, x, y_dr, y_dme)
     assert [g.dtype for g in grads] == [dtype] * len(params)
     assert [g.shape for g in grads] == [p.shape for p in params]
 
@@ -589,7 +555,7 @@ def test_subnormal_adam_moments_are_flushed_each_epoch(monkeypatch):
     # epoch 100 steps, so epochs 9 and 10 start at steps 801 and 901.
     calls = []
 
-    def gradients(params, n_trunk, x, y_dr, y_dme, dropout_prob=0.0, rng=None, *, out):
+    def gradients(params, n_trunk, x, y_dr, y_dme, *, out):
         for g in out:
             g[...] = 1.0 if not calls else 0.0
         calls.append(None)

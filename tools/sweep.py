@@ -1,6 +1,6 @@
 """Held-out joint accuracy of the grader over synthetic data seeds.
 
-    PYTHONPATH=src python3 tools/sweep.py --seeds 13-25 [--batch-size N] [--dropout P] [--lr X] ...
+    PYTHONPATH=src python3 tools/sweep.py --seeds 13-25 [--batch-size N] [--lr X] ...
 
 Each data seed ``s`` gives one dataset, ``plan_dataset(SynthSpec(n_images=2000,
 width=256, height=256, seed=s))``.  Its features are the planted bucket counts
@@ -9,7 +9,7 @@ gives exactly these, so no mask is written or read.  20% of the rows are held
 out by ``np.random.default_rng([s, 2]).permutation``, as ``bench/run.py``
 splits them, and the training rows keep their file order.  The grader trains
 with the CLI's defaults; the training flags of ``retsym train`` (``--lr``,
-``--batch-size``, ``--dropout``, ``--max-epochs``, ``--patience``, ``--seed``,
+``--batch-size``, ``--max-epochs``, ``--patience``, ``--seed``,
 ``--hidden-dims``, ``--config``, ...) override them the same way.
 
 Stdout gets one JSON object per data seed, then one summary object: the
