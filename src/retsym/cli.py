@@ -39,6 +39,7 @@ from .mask_io import (
     MANIFEST_COLUMNS,
     GradePair,
     _shown,
+    _shown_ids,
     as_number,
     graded,
     integers,
@@ -273,7 +274,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred_ids = [image_id for image_id, _ in predictions]
     missing = [i for i in pred_ids if i not in reference]
     if missing:
-        raise ValueError(f"{args.pred}: no reference grades for {missing[:5]}")
+        raise ValueError(f"{args.pred}: no reference grades for {_shown_ids(missing)}")
     if not predictions:
         raise ValueError(f"{args.pred}: no predictions to score")
     report = evaluate([reference[i] for i in pred_ids], [p for _, p in predictions])

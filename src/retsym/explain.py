@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .mask_io import DR_GRADE_NAMES, GradePair
+from .mask_io import DR_GRADE_NAMES, GradePair, _shown
 from .symbolic import LESION_ORDER, SIZE_WORDS, FeatureMode, FeatureVector
 
 NO_LESION_PHRASE = "no lesion regions are detected"
@@ -113,7 +113,7 @@ def _sentence(image_id: str, grade_text: str, features: FeatureVector) -> str:
 def render(image_id: str, features: FeatureVector, grade: GradePair) -> Explanation:
     """Render with the template matching the vector's mode."""
     if "".join(image_id.splitlines()) != image_id:
-        raise ValueError(f"image_id {image_id!r} holds a line break; an explanation must stay on one line")
+        raise ValueError(f"image_id {_shown(image_id)} holds a line break; an explanation must stay on one line")
     grade_text = DR_GRADE_NAMES[grade.dr]
     return Explanation(
         image_id=image_id,

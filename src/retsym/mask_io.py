@@ -303,7 +303,7 @@ def read_table(path: Path, error: type[ValueError], what: str, headers: Sequence
     records = read_csv(path, error, what)
     header = tuple(records[0][1]) if records else None
     if header not in map(tuple, headers):
-        found = f"header {','.join(header)!r}" if records else "an empty file"
+        found = f"header {_shown(','.join(header))}" if records else "an empty file"
         expected = " or ".join(repr(",".join(h)) for h in headers)
         raise error(f"{path}: not a {what} file: expected header {expected}, found {found}")
     rows, seen = [], set()
@@ -312,7 +312,7 @@ def read_table(path: Path, error: type[ValueError], what: str, headers: Sequence
             if len(cells) != len(header):
                 raise ValueError(f"malformed row: expected {len(header)} cells, got {len(cells)}")
             if cells[0] in seen:
-                raise ValueError(f"duplicate image_id {cells[0]!r}")
+                raise ValueError(f"duplicate image_id {_shown(cells[0])}")
             seen.add(cells[0])
             rows.append(parse_row(cells))
         except ValueError as exc:
@@ -328,9 +328,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
-def _shown(token: str) -> str:
-    """``token`` for an error message: its repr, cut after 40 characters."""
-    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+def _shown(token: str, show: Callable[[str], str] = repr) -> str:
+    """``token`` for an error message: ``show(token)``, its repr by default, cut after 40 characters."""
+    return show(token) if len(token) <= 40 else f"{show(token[:40])}... ({len(token)} characters)"
+
+
+def _shown_ids(ids: Sequence[str]) -> str:
+    """The first five of ``ids`` for an error message, as a list of :func:`_shown` ids."""
+    return f"[{', '.join(map(_shown, ids[:5]))}]"
 
 
 def parse_int(text: str, what: str) -> int:
@@ -401,9 +406,9 @@ class GradePair:
     def __post_init__(self) -> None:
         dr, dme = integers((self.dr, self.dme), "DR and DME grades")
         if dr not in DR_GRADE_RANGE:
-            raise ValueError(f"dr_grade {dr} out of range 0..{DR_GRADE_RANGE[-1]}")
+            raise ValueError(f"dr_grade {_shown(str(dr), str)} out of range 0..{DR_GRADE_RANGE[-1]}")
         if dme not in DME_GRADE_RANGE:
-            raise ValueError(f"dme_grade {dme} out of range 0..{DME_GRADE_RANGE[-1]}")
+            raise ValueError(f"dme_grade {_shown(str(dme), str)} out of range 0..{DME_GRADE_RANGE[-1]}")
         object.__setattr__(self, "dr", dr)
         object.__setattr__(self, "dme", dme)
 
@@ -422,7 +427,7 @@ def graded(rows: Sequence[tuple], what: str) -> list[GradePair]:
     """The label of each row (image id, ..., label); an ungraded row raises ValueError."""
     missing = [row[0] for row in rows if row[-1] is None]
     if missing:
-        raise ValueError(f"{what} needs grades for every image; missing for {missing[:5]}")
+        raise ValueError(f"{what} needs grades for every image; missing for {_shown_ids(missing)}")
     return [row[-1] for row in rows]
 
 
@@ -454,12 +459,12 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             if not image_id:
                 raise ValueError("empty image_id")
             if image_id in seen:
-                raise ValueError(f"duplicate image_id {image_id!r}")
+                raise ValueError(f"duplicate image_id {_shown(image_id)}")
             seen.add(image_id)
             mask_paths: dict[LesionClass, Path] = {}
             for cls, cell in zip(LesionClass, masks):
                 if not cell:
-                    raise ValueError(f"empty {cls.manifest_column} for {image_id!r}")
+                    raise ValueError(f"empty {cls.manifest_column} for {_shown(image_id)}")
                 mask_paths[cls] = base / cell  # an absolute cell replaces base
             records.append(ManifestRecord(image_id, mask_paths, parse_grades(dr_cell, dme_cell)))
         except ValueError as exc:

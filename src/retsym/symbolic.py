@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mask_io import GradePair, LesionClass, integers, parse_grades, parse_int, read_table, write_csv
+from .mask_io import GradePair, LesionClass, _shown, integers, parse_grades, parse_int, read_table, write_csv
 from .regions import RegionSet
 
 SIZE_WORDS = ("small", "medium", "large")
@@ -81,7 +81,7 @@ class FeatureVector:
             )
         # Counts stay below 2**53, where float64 (the grader's input) is exact.
         if any(not 0 <= v < 2**53 for v in values):
-            raise ValueError(f"feature counts must be in 0..2**53-1, got {values}")
+            raise ValueError(f"feature counts must be in 0..2**53-1, got {_shown(str(values), str)}")
         object.__setattr__(self, "values", values)
 
 

@@ -67,47 +67,39 @@ class LabelRule(enum.Enum):
     COUNT_ONLY = "count-only"
 
 
+# Each cut of a rule: (head, grade, class row, size buckets, above).  When the row's counts
+# in those buckets sum to more than ``above``, the head's grade is at least ``grade``.
+_RULE_CUTS = {
+    LabelRule.SIZE_AWARE: (
+        ("dr", 4, 1, (2,), 2),  # three or more large HEs: the proliferative proxy
+        ("dr", 3, 1, (0, 1, 2), 20),  # more than 20 HEs
+        ("dme", 2, 3, (1, 2), 0),  # any medium or large EX: the macular proxy
+    ),
+    LabelRule.COUNT_ONLY: (
+        ("dr", 4, 1, (0, 1, 2), 40),
+        ("dr", 3, 1, (0, 1, 2), 20),
+        ("dme", 2, 3, (0, 1, 2), 10),
+    ),
+}
+
+
 def label_rule(bucket_counts: np.ndarray, rule: LabelRule = LabelRule.SIZE_AWARE) -> GradePair:
     """Grade a (4, 3) array of per-class small/medium/large region counts.
 
-    Size-aware DR: 0 when everything is zero; 1 for MAs only; 4 when there
-    are >= 3 large HEs (checked before grade 3, since severe disease is
-    defined by the absence of proliferative signs); 3 when HEs total > 20;
-    else 2.  Size-aware DME: 0 without EXs, 2 with any medium/large EX,
-    else 1.  The count-only rule uses per-class totals alone: DR 4 above 40
-    HEs, 3 above 20; DME 2 above 10 EXs.
+    The base grades are DR 0 without lesions, 1 for MAs only, else 2, and
+    DME 0 without EXs, else 1.  Each head's grade is the highest of its base
+    and of every cut of ``_RULE_CUTS[rule]`` that fires.
     """
     counts = np.asarray(bucket_counts, dtype=int)
     if counts.shape != (4, 3) or (counts < 0).any():
         raise ValueError(f"bucket_counts must be a nonnegative (4, 3) array, got {counts!r}")
-    ma, he, se, ex = (int(t) for t in counts.sum(axis=1))
-
-    if ma == he == se == ex == 0:
-        dr = 0
-    elif he == se == ex == 0:
-        dr = 1
-    elif rule is LabelRule.SIZE_AWARE:
-        if counts[1, 2] >= 3:
-            dr = 4
-        elif he > 20:
-            dr = 3
-        else:
-            dr = 2
-    else:
-        if he > 40:
-            dr = 4
-        elif he > 20:
-            dr = 3
-        else:
-            dr = 2
-
-    if ex == 0:
-        dme = 0
-    elif rule is LabelRule.SIZE_AWARE:
-        dme = 2 if counts[3, 1] + counts[3, 2] >= 1 else 1
-    else:
-        dme = 2 if ex > 10 else 1
-    return GradePair(dr=dr, dme=dme)
+    rows = counts.tolist()
+    ma, he, se, ex = map(sum, rows)
+    grades = {"dr": 0 if ma + he + se + ex == 0 else 1 if he + se + ex == 0 else 2, "dme": min(ex, 1)}
+    for head, grade, row, buckets, above in _RULE_CUTS[rule]:
+        if grade > grades[head] and sum([rows[row][b] for b in buckets]) > above:
+            grades[head] = grade
+    return GradePair(grades["dr"], grades["dme"])
 
 
 @dataclass(frozen=True)
@@ -307,57 +299,53 @@ def _plan_class_shapes(
 # Bucket-count sampling per target grade
 
 
-def _counts(rng: np.random.Generator, *ranges: tuple[int, int]) -> list[int]:
-    return [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
+# Inclusive (lo, hi) counts planted in the small, medium and large buckets:
+# per rule, the MA, HE and SE rows of each DR grade and the EX row of each DME
+# grade.  A one-value range draws nothing from the generator.  Size-aware DR 2
+# and 3 sit in tight clusters far on either side of the 20-HE cut, and only
+# grade 4 plants large HEs.  Its small-HE range spans the other two, so totals
+# overlap across grades 3 and 4 and cannot settle the grade -- that ambiguity
+# (with DME 1 and 2, whose EX totals differ only in whether any EX clears the
+# medium-size cut) is what the simple-vs-extended ablation measures.  The
+# count-only rule reads totals alone: all is small, with wide margins.
+_ZERO = ((0, 0),) * 3
+_PLANTED = {
+    LabelRule.SIZE_AWARE: {
+        "dr": (
+            (_ZERO, _ZERO, _ZERO), (((1, 20), (0, 2), (0, 1)), _ZERO, _ZERO),
+            *((((0, 6), (0, 1), (0, 0)), he, ((0, 5), (0, 1), (0, 1))) for he in (
+                ((1, 2), (0, 2), (0, 0)),  # HE total 1..4
+                ((26, 30), (0, 2), (0, 0)),  # 26..32
+                ((0, 27), (0, 2), (5, 6)),  # 5..35
+            )),
+        ),
+        "dme": (_ZERO, ((2, 12), (0, 0), (0, 0)), ((0, 10), (0, 2), (0, 1))),  # DME 2 may top up
+    },
+    LabelRule.COUNT_ONLY: {
+        "dr": (
+            (_ZERO, _ZERO, _ZERO), (((1, 20), (0, 0), (0, 0)), _ZERO, _ZERO),
+            *((((0, 10), (0, 0), (0, 0)), (he, (0, 0), (0, 0)), ((0, 5), (0, 0), (0, 0)))
+              for he in ((1, 8), (25, 30), (55, 60))),
+        ),
+        "dme": (_ZERO, ((1, 5), (0, 0), (0, 0)), ((18, 26), (0, 0), (0, 0))),
+    },
+}
 
 
-def _sample_bucket_counts(
-    rng: np.random.Generator, rule: LabelRule, dr: int, dme: int
-) -> np.ndarray:
-    counts = np.zeros((4, 3), dtype=int)
-    if rule is LabelRule.COUNT_ONLY:
-        # Totals drive the label; buckets are irrelevant, so everything is
-        # planted small, with wide margins around the rule cuts.
-        if dr == 1:
-            counts[0, 0] = int(rng.integers(1, 21))
-        elif dr >= 2:
-            counts[0, 0] = int(rng.integers(0, 11))
-            # All three totals are drawn and the grade's is kept: the draws fix the bytes.
-            counts[1, 0] = _counts(rng, (1, 8), (25, 30), (55, 60))[dr - 2]
-            counts[2, 0] = int(rng.integers(0, 6))
-            if dme == 1:
-                counts[3, 0] = int(rng.integers(1, 6))
-            elif dme == 2:
-                counts[3, 0] = int(rng.integers(18, 27))
-        return counts
-
-    if dr == 1:
-        counts[0] = [int(rng.integers(1, 21)), *_counts(rng, (0, 2), (0, 1))]
-        return counts
-    if dr >= 2:
-        counts[0] = _counts(rng, (0, 6), (0, 1), (0, 0))
-        # Grades 2 and 3 sit in tight clusters far on either side of the
-        # 20-HE rule cut, and only grade 4 ever plants large HEs.  Grade 4's
-        # small-HE range spans the other two, so per-class totals still
-        # overlap across grades 3 and 4 and totals alone cannot settle the
-        # grade -- that ambiguity (with the EX overlap below) is what the
-        # simple-vs-extended ablation measures.
-        if dr == 2:
-            counts[1] = _counts(rng, (1, 2), (0, 2), (0, 0))  # total 1..4
-        elif dr == 3:
-            counts[1] = _counts(rng, (26, 30), (0, 2), (0, 0))  # total 26..32
-        else:  # dr == 4: the large-HE proxy fires regardless of total
-            counts[1] = _counts(rng, (0, 27), (0, 2), (5, 6))  # total 5..35
-        counts[2] = _counts(rng, (0, 5), (0, 1), (0, 1))
-        # The two DME-positive grades have near-identical EX totals; they
-        # differ only in whether any EX clears the medium-size cut.
-        if dme == 1:
-            counts[3] = [int(rng.integers(2, 13)), 0, 0]
-        elif dme == 2:
-            counts[3] = _counts(rng, (0, 10), (0, 2), (0, 1))
-            if counts[3, 1] + counts[3, 2] == 0:
-                counts[3, 1] = 1
-    return counts
+def _sample_bucket_counts(rng: np.random.Generator, rule: LabelRule, dr: int, dme: int) -> np.ndarray:
+    """The (4, 3) counts of ``_PLANTED[rule]`` for a target grade pair.  The
+    draws from ``rng`` and their order fix the generated files' bytes."""
+    planted = _PLANTED[rule]
+    counts = []
+    for row, ranges in enumerate((*planted["dr"][dr], planted["dme"][dme])):
+        keep = rule is LabelRule.COUNT_ONLY and row == 1 and dr >= 2
+        if keep:  # every grade's HE total is drawn and this grade's kept
+            ranges = [grade[1][0] for grade in planted["dr"][2:]]
+        drawn = [lo if lo == hi else int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
+        counts.append([drawn[dr - 2], 0, 0] if keep else drawn)
+    if dme == 2 and label_rule(counts, rule).dme < 2:  # no medium or large EX was drawn
+        counts[3][1] += 1
+    return np.array(counts)
 
 
 def _sample_targets(rng: np.random.Generator, spec: SynthSpec) -> tuple[int, int]:
@@ -384,12 +372,10 @@ def plan_dataset(spec: SynthSpec) -> list[ImagePlan]:
         if label != GradePair(dr, dme):
             raise RuntimeError(f"sampler produced rule-inconsistent counts for {image_id}")
         shapes: dict[LesionClass, tuple[PlacedShape, ...]] = {}
-        for row, cls in enumerate(LESION_ORDER):
+        for cls, row in zip(LESION_ORDER, counts.tolist()):
             noise = int(rng.integers(spec.noise_count[0], spec.noise_count[1] + 1))
-            shapes[cls] = _plan_class_shapes(
-                rng, spec, counts[row].tolist(), noise, f"image {image_id}, class {cls.name}"
-            )
-        plans.append(ImagePlan(image_id, label, counts.copy(), shapes))
+            shapes[cls] = _plan_class_shapes(rng, spec, row, noise, f"image {image_id}, class {cls.name}")
+        plans.append(ImagePlan(image_id, label, counts, shapes))
     return plans
 
 

@@ -145,6 +145,23 @@ def test_evaluate_names_an_ungraded_reference_row(pipeline, capsys, tmp_path, so
     )
 
 
+def test_long_unknown_and_ungraded_ids_are_shown_cut(pipeline, capsys, tmp_path):
+    # Six unknown ids of 300 characters were each echoed in full: 1,560 bytes of stderr.
+    ids = [letter * 300 for letter in "abcdef"]
+    shown = "[" + ", ".join(f"'{letter * 40}'... (300 characters)" for letter in "abcde") + "]"
+    pred = tmp_path / "pred.csv"
+    write_predictions_csv(pred, [(i, GradePair(0, 0)) for i in ids])
+    assert main(["evaluate", "--truth", str(pipeline / "features.csv"), "--pred", str(pred)]) == 2
+    assert capsys.readouterr().err == f"error: {pred}: no reference grades for {shown}\n"
+
+    features = tmp_path / "features.csv"
+    features.write_text("image_id,f1,f2,f3,f4,dr_grade,dme_grade\n" + "".join(f"{i},1,0,0,0,,\n" for i in ids))
+    assert main(["train", "--features", str(features), "--out", str(tmp_path / "model.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {features}: training needs grades for every image; missing for {shown}\n"
+    )
+
+
 def test_a9_config_features_csv_bytes(tmp_path):
     # A9 compares two runs with each other; these pins also catch a writer change that
     # alters both.  The files hold integers only, so the bytes do not depend on the BLAS.
@@ -906,6 +923,11 @@ def _assert_no_leak(err):
     assert not [text for text in _LEAKED_TEXT if text in err], err
 
 
+# An id of 300 characters, 600 bytes in UTF-8; an error message shows only its
+# first 40 characters.
+_LONG_ID = "\u00e9" * 300
+
+
 @st.composite
 def _hostile_csv(draw, header, ids, cell=_HOSTILE_CELLS):
     """CSV bytes under ``header``: rows of too few, too many or hostile cells,
@@ -933,7 +955,7 @@ _HYPOTHESIS_CLI = settings(
 @given(data=st.data())
 def test_hostile_features_csv_exits_0_or_2(pipeline, capsys, data):
     mode = data.draw(st.sampled_from(list(retsym.FeatureMode)))
-    ids = ["img_0000", "img_0001", "img,0002", 'i"d']
+    ids = ["img_0000", "img_0001", "img,0002", 'i"d', _LONG_ID]
     path = pipeline / "hostile_features.csv"
     path.write_bytes(data.draw(_hostile_csv(features_header(mode), ids)))
     out = pipeline / "hostile_out"
@@ -945,18 +967,22 @@ def test_hostile_features_csv_exits_0_or_2(pipeline, capsys, data):
         ["evaluate", "--truth", str(path), "--pred", str(pipeline / "pred.csv")],
     ):
         assert main(args) in (0, 2), args
-        _assert_no_leak(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        _assert_no_leak(err)
+        assert len(err.encode()) < 512, err
 
 
 @_HYPOTHESIS_CLI
 @given(data=st.data())
 def test_hostile_predictions_csv_exits_0_or_2(pipeline, capsys, data):
-    ids = ["img_0000", "img_0001", "img_0002", "img,0002", "ghost"]
+    ids = ["img_0000", "img_0001", "img_0002", "img,0002", "ghost", _LONG_ID]
     path = pipeline / "hostile_pred.csv"
     path.write_bytes(data.draw(_hostile_csv(["image_id", "dr_pred", "dme_pred"], ids)))
     for truth in (pipeline / "features.csv", pipeline / "data" / "manifest.csv"):
         assert main(["evaluate", "--truth", str(truth), "--pred", str(path)]) in (0, 2)
-        _assert_no_leak(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        _assert_no_leak(err)
+        assert len(err.encode()) < 512, err
 
 
 @_HYPOTHESIS_CLI

@@ -239,3 +239,35 @@ def test_ground_truth_row_errors_name_the_file_and_line(tmp_path, name, message)
     with pytest.raises(ValueError) as exc:
         read_ground_truth(path)
     assert str(exc.value).startswith(f"{path}: line 2: {message}"), exc.value
+
+
+LONG_ID = "x" * 300
+SHOWN_ID = f"'{'x' * 40}'... (300 characters)"
+MASK_CELLS = b",1.pgm,2.pgm,3.pgm,4.pgm,0,0\n"
+
+
+@pytest.mark.parametrize("read,data,message", [
+    (read_features_csv, SIMPLE_HEADER + b"\n" + (LONG_ID + ",1,2,3,4,0,0\n").encode() * 2,
+     f"line 3: duplicate image_id {SHOWN_ID}"),
+    (load_manifest, MANIFEST_HEADER + b"\n" + (LONG_ID.encode() + MASK_CELLS) * 2,
+     f"line 3: duplicate image_id {SHOWN_ID}"),
+    (load_manifest, MANIFEST_HEADER + b"\n" + LONG_ID.encode() + MASK_CELLS.replace(b"2.pgm", b""),
+     f"line 2: empty he_mask for {SHOWN_ID}"),
+    (read_predictions_csv, b"image_id," + b"p" * 2991 + b"\n",
+     "not a predictions file: expected header 'image_id,dr_pred,dme_pred', "
+     f"found header 'image_id,{'p' * 31}'... (3000 characters)"),
+    (read_features_csv, SIMPLE_HEADER + b"\na,1,2,3,4," + b"9" * 50 + b",0\n",
+     f"line 2: dr_grade {'9' * 40}... (50 characters) out of range 0..4"),
+    (read_features_csv, SIMPLE_HEADER + b"\na," + b"9" * 50 + b",2,3,4,0,0\n",
+     f"line 2: feature counts must be in 0..2**53-1, got ({'9' * 39}... (61 characters)"),
+], ids=["features-duplicate-id", "manifest-duplicate-id", "manifest-empty-mask", "predictions-header",
+        "long-grade", "long-count"])
+def test_long_ids_and_headers_are_shown_cut(tmp_path, read, data, message):
+    # Each used to be echoed in full: a 3,000-character header gave 3,100 bytes of stderr.
+    # Ids, headers and numbers of 40 characters or fewer are still shown whole.
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: {message}"
+

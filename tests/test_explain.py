@@ -134,6 +134,14 @@ def test_render_refuses_an_id_with_a_line_break(image_id):
         render(image_id, _simple([1, 0, 0, 0]), GradePair(1, 0))
 
 
+def test_render_refusal_shows_a_long_id_cut():
+    with pytest.raises(ValueError) as exc:
+        render("x" * 300 + "\n", _simple([1, 0, 0, 0]), GradePair(1, 0))
+    assert str(exc.value) == (
+        f"image_id '{'x' * 40}'... (301 characters) holds a line break; an explanation must stay on one line"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

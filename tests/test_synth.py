@@ -116,6 +116,67 @@ def test_equal_totals_can_disagree():
     assert label_rule(d).dme == 2
 
 
+def _if_else_label_rule(counts, rule):
+    """The grading rule as an if/else chain, as it was written before the cut
+    table; kept here as the reference the table must agree with."""
+    ma, he, se, ex = (int(t) for t in counts.sum(axis=1))
+    if ma == he == se == ex == 0:
+        dr = 0
+    elif he == se == ex == 0:
+        dr = 1
+    elif rule is LabelRule.SIZE_AWARE:
+        dr = 4 if counts[1, 2] >= 3 else 3 if he > 20 else 2
+    else:
+        dr = 4 if he > 40 else 3 if he > 20 else 2
+    if ex == 0:
+        dme = 0
+    elif rule is LabelRule.SIZE_AWARE:
+        dme = 2 if counts[3, 1] + counts[3, 2] >= 1 else 1
+    else:
+        dme = 2 if ex > 10 else 1
+    return GradePair(dr, dme)
+
+
+# Every grade pair the target sampler can ask for.
+_REACHABLE_TARGETS = [(0, 0), (1, 0), *((dr, dme) for dr in (2, 3, 4) for dme in (0, 1, 2))]
+
+
+def test_label_rule_matches_the_if_else_reference_across_every_cut():
+    # Cell values sit on both sides of every cut (2/3 large HEs, 10/11 EXs,
+    # 20/21 and 40/41 HEs); a class row is all zero half the time, so that
+    # the lesion-free and MA-only grades come up too.
+    rng = np.random.default_rng(31)
+    values = np.array([0, 1, 2, 3, 4, 10, 11, 20, 21, 40, 41])
+    grid = values[rng.integers(0, len(values), size=(3000, 4, 3))] * rng.integers(0, 2, size=(3000, 4, 1))
+    seen = set()
+    for counts in grid:
+        for rule in LabelRule:
+            expected = _if_else_label_rule(counts, rule)
+            assert label_rule(counts, rule) == expected, (rule, counts.tolist())
+            seen.add((rule, expected.dr, expected.dme))
+    assert seen == {(rule, *target) for rule in LabelRule for target in _REACHABLE_TARGETS}
+
+
+class _CornerRng:
+    """A stand-in generator whose every ``integers(lo, hi)`` draw is ``lo``, or ``hi - 1``."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def integers(self, lo, hi):
+        return hi - 1 if self.top else lo
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["low", "high"])
+@pytest.mark.parametrize("rule", list(LabelRule))
+def test_planted_range_ends_grade_as_their_target(rule, top):
+    # Each end of every planted range must sit on its target's side of every
+    # cut of the rule, so that a range moved across a cut fails here.
+    for dr, dme in _REACHABLE_TARGETS:
+        counts = synth._sample_bucket_counts(_CornerRng(top), rule, dr, dme)
+        assert label_rule(counts, rule) == GradePair(dr, dme), counts.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Spec validation
 
